@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: ci build vet lint test race race-telemetry bce-audit bench-smoke overhead-smoke hotspot-accuracy obs-smoke bench-bulk bench-observability bench-gate bench-scatter bench-imbalance clean
+.PHONY: ci build vet lint test race race-telemetry bce-audit bench-smoke overhead-smoke hotspot-accuracy obs-smoke bench-bulk bench-observability bench-gate bench-imbalance clean
 
 # ci is the tier-1 gate plus cheap benchmark compile-and-run checks,
 # including the telemetry-off overhead guard, the contention-profiler
 # accuracy check, the live-metrics smoke and the benchmark regression
 # gate.
-ci: vet lint build test race race-telemetry bce-audit bench-smoke overhead-smoke hotspot-accuracy obs-smoke bench-gate bench-scatter bench-imbalance
+ci: vet lint build test race race-telemetry bce-audit bench-smoke overhead-smoke hotspot-accuracy obs-smoke bench-gate bench-imbalance
 
 build:
 	$(GO) build ./...
@@ -14,13 +14,13 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint holds the write-combining engine and the reducer core to a
-# staticcheck-clean bar when the tool is available (it is not vendored;
-# the target degrades to a notice rather than installing anything).
+# lint holds the reducer core to a staticcheck-clean bar when the tool
+# is available (it is not vendored; the target degrades to a notice
+# rather than installing anything).
 lint:
-	$(GO) vet ./internal/scatter ./internal/core
+	$(GO) vet ./internal/core
 	@if command -v staticcheck >/dev/null 2>&1; then \
-		staticcheck ./internal/scatter ./internal/core; \
+		staticcheck ./internal/core; \
 	else \
 		echo "lint: staticcheck not installed; skipped (go vet still ran)"; \
 	fi
@@ -34,7 +34,7 @@ test:
 # accumulate kernels. Building through cmd/spraybulk instantiates the
 # generic strategies so -d=ssa/check_bce reports real codegen, then:
 #   - internal/core/kernels.go (shared contiguous/masked accumulate
-#     kernels used by dense, block, keeper and the bin flush paths)
+#     kernels used by dense, block, keeper and the tiered merge)
 #     must contain NO bounds checks at all;
 #   - internal/plan/exec.go (plan executor loops) must contain no
 #     slice-prologue checks — only the documented irreducible
@@ -59,15 +59,15 @@ race:
 # race-telemetry focuses the race detector on the observability layer
 # and the concurrent scatter machinery: counter shards, region timing,
 # latency histograms, trace rings, panic wrapping, the export registry,
-# the keeper mailbox publish/drain protocol, the binned wrapper, the
-# index-space contention profiler (sketches, top-K tables, heatmap
-# exposition), the diagnostics subsystem (Prometheus rendering,
+# the keeper mailbox publish/drain protocol, the index-space contention
+# profiler (sketches, top-K tables, heatmap exposition), the
+# diagnostics subsystem (Prometheus rendering,
 # flight recorder, anomaly detector, event rings, spraymon digestion),
 # the tiered hot/cold wrapper (replica caches, online promotion,
 # eviction flushes), and the work-stealing loop runtime (chunk deques,
 # the stealer protocol, the adaptive grain controller).
 race-telemetry:
-	$(GO) test -race -short -run 'Telemetry|Instrument|Timing|WorkerPanic|Concurrent|Trace|Hist|Sample|Latency|Mailbox|Drain|Binned|Prom|Flight|Anomal|Event|Monitor|Diagnostics|ServeMetrics|CASStorm|ObsOff|Hotspot|Hotline|Heatmap|Tiered|HotSet|Promot|Steal|Deque|Grain' ./internal/telemetry ./internal/par ./internal/core ./internal/memtrack ./internal/scatter ./internal/experiments ./internal/obs ./internal/hotspot .
+	$(GO) test -race -short -run 'Telemetry|Instrument|Timing|WorkerPanic|Concurrent|Trace|Hist|Sample|Latency|Mailbox|Drain|Prom|Flight|Anomal|Event|Monitor|Diagnostics|ServeMetrics|CASStorm|ObsOff|Hotspot|Hotline|Heatmap|Tiered|HotSet|Promot|Steal|Deque|Grain' ./internal/telemetry ./internal/par ./internal/core ./internal/memtrack ./internal/experiments ./internal/obs ./internal/hotspot .
 
 # bench-smoke proves the bulk and tiered benchmarks run end to end
 # without timing anything meaningful (100 iterations per case).
@@ -75,8 +75,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkBulk|BenchmarkTieredZipf' -benchtime 100x .
 
 # overhead-smoke asserts the telemetry-off budget (the gated accessor must
-# stay within 2% of an ungated replica — including the tiered hot path
-# and the binned staging loop), the contention-profiler budget
+# stay within 2% of an ungated replica — including the tiered hot path),
+# the contention-profiler budget
 # (the profiler-enabled keeper accessor must stay within 2% of the
 # detached one, and the disabled paths must not allocate), the
 # zero-steady-state-alloc contract of the off paths (tiered hot/cold
@@ -124,16 +124,16 @@ bench-observability:
 # results/bench_baseline.json. A missing or incomparable baseline is
 # bootstrapped from the fresh run; a same-host regression beyond the
 # (deliberately wide, smoke-scale) noise band fails the target. The
-# plan amortization sweep gates with the scatter-class band: its points
-# are whole cold solves (record+compile inside the measurement) run few
-# times per sample, so run-to-run swing is far above the conv points'.
-# The tiered leg records the hot/cold replication comparison (Zipfian
-# skewed conv scatter + banded transpose product, hot+atomic vs its
-# inner strategies) as results/BENCH_tiered.json — a tracked artifact,
-# like BENCH_scatter.json — and gates it with the scatter-class band:
-# its points are short Scatter-heavy regions on an oversubscribed
-# container, so run-to-run swing matches the scatter points', not the
-# conv points'.
+# plan amortization sweep gates with the wide step-change band
+# (-min-rel 0.75): its points are whole cold solves (record+compile
+# inside the measurement) run few times per sample, so run-to-run swing
+# is far above the conv points'. The tiered leg records the hot/cold
+# replication comparison (Zipfian skewed conv scatter + banded transpose
+# product, hot+atomic vs its inner strategies) as
+# results/BENCH_tiered.json — a tracked artifact, like BENCH_sched.json —
+# and gates it with the same wide band: its points are short
+# Scatter-heavy regions on an oversubscribed container, so run-to-run
+# swing matches the plan points', not the conv points'.
 bench-gate:
 	$(GO) run ./cmd/benchdiff -expect-regression -q cmd/benchdiff/testdata/base.json cmd/benchdiff/testdata/regressed.json
 	@mkdir -p results
@@ -144,19 +144,6 @@ bench-gate:
 	$(GO) run ./cmd/spraybulk -n 100000 -max-threads 2 -repeats 3 -min-time 20ms -workload tiered -json results/BENCH_tiered.json
 	$(GO) run ./cmd/benchdiff -gate -sigma 4 -min-rel 0.75 results/bench_baseline.json results/BENCH_tiered.json
 
-# bench-scatter records the binned-vs-unbinned write-combining
-# comparison (duplicate-heavy conv adjoint stream + banded transpose
-# product) and gates it against the same baseline as bench-gate; scatter
-# points absent from an older baseline are reported, not failed. The
-# scatter points run few iterations per sample and the oversubscribed
-# 2-thread points swing ±60% run-to-run on a 1-core container, so the
-# band is much wider than bench-gate's — this is a step-change detector
-# (the fixture self-test's 50%-on-stable-points class), not a profiler.
-bench-scatter:
-	@mkdir -p results
-	$(GO) run ./cmd/spraybulk -n 100000 -max-threads 2 -repeats 3 -min-time 20ms -workload scatter -json results/BENCH_scatter.json
-	$(GO) run ./cmd/benchdiff -gate -sigma 4 -min-rel 0.75 results/bench_baseline.json results/BENCH_scatter.json
-
 # bench-imbalance records the loop-schedule comparison on the
 # imbalanced workloads (front-loaded skew, skewed banded transpose
 # product, mini-LULESH) plus the uniform conv control, gates it for
@@ -164,9 +151,9 @@ bench-scatter:
 # claims with cmd/schedcheck: steal beats dynamic everywhere, beats
 # guided in geomean across the imbalanced legs, and stays within
 # tolerance of static on the uniform control. results/BENCH_sched.json
-# is a tracked artifact like BENCH_scatter.json. The legs are short
+# is a tracked artifact like BENCH_tiered.json. The legs are short
 # regions on an oversubscribed 1-core container, so the regression band
-# is the scatter-class step-change band, and schedcheck's uniform
+# is the wide step-change band (-min-rel 0.75), and schedcheck's uniform
 # tolerance is wide (see that command's comment for the keeper
 # foreign-parcel artifact forced stealing creates without real
 # parallelism).
@@ -178,7 +165,8 @@ bench-imbalance:
 
 # clean removes the transient benchmark artifacts (root-level BENCH
 # files are stale copies from before results/ became canonical); the
-# tracked results/BENCH_scatter.json reference is left alone.
+# tracked results/BENCH_tiered.json and results/BENCH_sched.json
+# references are left alone.
 clean:
 	rm -f BENCH_*.json
 	rm -f results/BENCH_bulk.json results/BENCH_observability.json results/BENCH_gate.json results/BENCH_plan.json

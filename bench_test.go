@@ -385,90 +385,6 @@ func BenchmarkBulkTMV(b *testing.B) {
 	}
 }
 
-// scatterBenchStrategies are the strategies the write-combining wrapper
-// can help: every flushed bin saves CAS traffic (atomic), block claims
-// (block-cas), queue appends (keeper) or buys exact hotness counts
-// (auto).
-var scatterBenchStrategies = []spray.Strategy{
-	spray.Atomic(), spray.BlockCAS(1024), spray.Keeper(), spray.Auto(1024),
-}
-
-// BenchmarkScatterBinnedConv compares the unbinned Scatter path (the
-// PR 1 bulk fast path) against the binned write-combining wrapper on the
-// duplicate-heavy conv adjoint stream: interleaved (i-1, i, i+1) triples,
-// three contributions per output index per tile, which the binned engine
-// coalesces to one before touching the strategy. cmd/spraybulk
-// -workload scatter runs the same comparison at larger scale and emits
-// BENCH_scatter.json.
-func BenchmarkScatterBinnedConv(b *testing.B) {
-	const n = 1 << 20
-	seed := convSeed(n)
-	out := make([]float32, n)
-	for _, st := range scatterBenchStrategies {
-		for _, th := range benchThreads {
-			b.Run(fmt.Sprintf("%s/unbinned/threads=%d", st, th), func(b *testing.B) {
-				team := spray.NewTeam(th)
-				defer team.Close()
-				r := spray.New(st, out, th)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					benchWeights.RunBackpropScatter(team, r, seed)
-				}
-				b.SetBytes(int64(n * 4))
-			})
-			b.Run(fmt.Sprintf("%s/binned/threads=%d", st, th), func(b *testing.B) {
-				team := spray.NewTeam(th)
-				defer team.Close()
-				r := spray.New(spray.Binned(st), out, th)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					benchWeights.RunBackpropScatter(team, r, seed)
-				}
-				b.SetBytes(int64(n * 4))
-				b.ReportMetric(float64(r.PeakBytes()), "strategy-bytes")
-			})
-		}
-	}
-}
-
-// BenchmarkScatterBinnedTMV runs the binned-vs-unbinned comparison on a
-// banded transpose-matrix-vector product: consecutive rows scatter into
-// overlapping column windows, so bins are revisited across rows and
-// cross-row duplicates coalesce. The chunked schedule exercises the
-// keeper's cooperative mid-region mailbox drain.
-func BenchmarkScatterBinnedTMV(b *testing.B) {
-	a := sparse.Banded[float32](1<<17, 1<<17, 16, 96, 7)
-	x := make([]float32, a.Rows)
-	for i := range x {
-		x[i] = 1
-	}
-	y := make([]float32, a.Cols)
-	sched := spray.StaticChunk(256)
-	for _, st := range scatterBenchStrategies {
-		for _, th := range benchThreads {
-			b.Run(fmt.Sprintf("%s/unbinned/threads=%d", st, th), func(b *testing.B) {
-				team := spray.NewTeam(th)
-				defer team.Close()
-				r := spray.New(st, y, th)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sparse.RunTMulVecSched(team, r, a, x, sched)
-				}
-			})
-			b.Run(fmt.Sprintf("%s/binned/threads=%d", st, th), func(b *testing.B) {
-				team := spray.NewTeam(th)
-				defer team.Close()
-				r := spray.New(spray.Binned(st), y, th)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sparse.RunTMulVecSched(team, r, a, x, sched)
-				}
-				b.ReportMetric(float64(r.PeakBytes()), "strategy-bytes")
-			})
-		}
-	}
-}
-
 // BenchmarkTieredZipf measures the hot/cold tiered wrapper on a
 // Zipfian-skewed scatter stream: a few hundred hot lines carry ~99% of
 // the updates, so hot+atomic should replace the atomic CAS per hot
@@ -557,7 +473,7 @@ func BenchmarkPlanTMV(b *testing.B) {
 	y := make([]float32, a.Cols)
 	const threads = 4
 	strategies := []spray.Strategy{
-		spray.Atomic(), spray.Binned(spray.Atomic()), spray.BlockCAS(1024),
+		spray.Atomic(), spray.BlockCAS(1024),
 		spray.Keeper(), spray.Planned(spray.Atomic()), spray.Planned(spray.Keeper()),
 	}
 	for _, st := range strategies {

@@ -8,12 +8,6 @@
 //	spraybulk -n 2000000 -max-threads 8
 //	spraybulk -workload tmv -json results/BENCH_bulk.json
 //
-// The scatter workload instead compares the plain Scatter path against
-// the binned write-combining wrapper (spray.Binned) on duplicate-heavy
-// streams:
-//
-//	spraybulk -workload scatter -json results/BENCH_scatter.json
-//
 // The plan workload sweeps applications-per-solve instead of threads,
 // measuring how the plan-compiled wrapper (spray.Planned) amortizes its
 // record+compile cost against its inner strategies and the MKL-style
@@ -61,7 +55,7 @@ func main() {
 		maxThreads = flag.Int("max-threads", 8, "largest thread count in the sweep")
 		threads    = flag.String("threads", "", "explicit comma-separated thread counts (overrides -max-threads)")
 		strategies = flag.String("strategies", "", "comma-separated strategy list (default: dense,atomic,block-cas,keeper)")
-		workload   = flag.String("workload", "all", "workload to run: conv, tmv, scatter, plan, tiered, imbalance or all")
+		workload   = flag.String("workload", "all", "workload to run: conv, tmv, plan, tiered, imbalance or all")
 		schedules  = flag.String("schedule", "", "comma-separated loop schedules for the imbalance workload's comparison series (spray.ParseSchedule forms, e.g. static,dynamic:8,guided,steal:4096; default static,dynamic,guided,steal)")
 		planIters  = flag.String("plan-iters", "", "comma-separated applications-per-solve counts for the plan workload (default: 1,2,4,8,16,32)")
 		repeats    = flag.Int("repeats", 3, "samples per configuration")
@@ -116,13 +110,6 @@ func main() {
 		cfg.Strategies = sts
 	}
 
-	// The scatter comparison defaults to the write-combining strategy set
-	// unless the user picked strategies explicitly.
-	scfg := cfg
-	if *strategies == "" {
-		scfg.Strategies = experiments.DefaultScatterConfig(*n, *maxThreads).Strategies
-	}
-
 	// The tiered hot/cold comparison defaults to the replication-vs-inner
 	// strategy set unless the user picked strategies explicitly.
 	tcfg := cfg
@@ -170,8 +157,6 @@ func main() {
 		results = append(results, experiments.BulkConv(cfg))
 	case "tmv":
 		results = append(results, experiments.BulkTMV(cfg))
-	case "scatter":
-		results = append(results, experiments.ScatterConv(scfg), experiments.ScatterTMV(scfg))
 	case "plan":
 		results = append(results, experiments.PlanTMV(pcfg))
 	case "tiered":
@@ -186,13 +171,12 @@ func main() {
 		lres, err := experiments.ImbalanceLulesh(icfg)
 		fatalIf(err)
 		results = append(results, experiments.BulkConv(cfg), experiments.BulkTMV(cfg),
-			experiments.ScatterConv(scfg), experiments.ScatterTMV(scfg),
 			experiments.PlanTMV(pcfg),
 			experiments.TieredConv(tcfg), experiments.TieredTMV(tcfg),
 			experiments.ImbalanceSkew(icfg), experiments.ImbalanceTMV(icfg),
 			lres, experiments.ImbalanceConv(icfg))
 	default:
-		fatalIf(fmt.Errorf("unknown workload %q (want conv, tmv, scatter, plan, tiered, imbalance or all)", *workload))
+		fatalIf(fmt.Errorf("unknown workload %q (want conv, tmv, plan, tiered, imbalance or all)", *workload))
 	}
 	for _, res := range results {
 		res.WriteTable(os.Stdout)

@@ -48,8 +48,6 @@ func ProfileConcentration(p *hotspot.Profile, k int) float64 {
 //   - no conflict events at all     -> atomic (no memory overhead)
 //   - keeper-foreign dominated      -> ownership fit: low foreign share
 //     keeps the keeper, high foreign share escalates
-//   - bin collisions dominated      -> duplicate-heavy stream: keep (or
-//     add) the write-combining wrapper
 //   - plan exchanges dominated      -> the pattern repeats; stay compiled
 //   - retries/claims, tiny rate     -> atomic (contention negligible)
 //   - conflicts but an empty sketch -> rate-based fallback: the profile
@@ -76,8 +74,8 @@ func RecommendFromProfile(p *hotspot.Profile) Recommendation {
 	cls, clsW := p.DominantClass()
 	conc := ProfileConcentration(p, 16)
 
-	// The routing classes (foreign submissions, bin coalescing, plan
-	// exchanges) are handled by shape, not rate: a small foreign share is
+	// The routing classes (foreign submissions, plan exchanges) are
+	// handled by shape, not rate: a small foreign share is
 	// evidence the keeper fits, not that contention is negligible.
 	switch cls {
 	case hotspot.KeeperForeign.String():
@@ -91,9 +89,6 @@ func RecommendFromProfile(p *hotspot.Profile) Recommendation {
 		}
 		return Recommendation{spray.BlockCAS(spray.DefaultBlockSize), fmt.Sprintf(
 			"%.0f%% of updates cross the ownership partition — block claiming follows the accesses instead of a fixed split", 100*share)}
-	case hotspot.BinCollision.String():
-		return Recommendation{spray.Binned(spray.Atomic()), fmt.Sprintf(
-			"%d coalesced duplicates dominate the conflict profile — keep the write-combining wrapper in front of a cheap inner strategy", clsW)}
 	case hotspot.PlanExchange.String():
 		return Recommendation{spray.Planned(spray.Keeper()), fmt.Sprintf(
 			"%d plan exchange merges dominate — the pattern repeats and the compiled route is already absorbing the conflicts", clsW)}

@@ -194,11 +194,6 @@ func TestRecommendFromProfileLadder(t *testing.T) {
 			p.Totals["keeper-foreign"] = p.Updates / 2 // 50% foreign
 			return p
 		}(), spray.BlockCAS(spray.DefaultBlockSize), "ownership"},
-		{"duplicate heavy", func() *hotspot.Profile {
-			p := base()
-			p.Totals["bin-collision"] = p.Updates / 4
-			return p
-		}(), spray.Binned(spray.Atomic()), "write-combining"},
 		{"compiled exchange", func() *hotspot.Profile {
 			p := base()
 			p.Totals["plan-exchange"] = p.Updates / 4

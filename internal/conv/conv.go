@@ -104,40 +104,6 @@ func (w Weights3[T]) RunBackpropIters(team *spray.Team, r spray.Reducer[T], seed
 	}
 }
 
-// RunBackpropScatter drives the Figure 9 loop through the Scatter entry
-// point in its natural adjoint order: each tile emits the interleaved
-// triple stream (i-1, wl·s), (i, wc·s), (i+1, wr·s) for ascending i —
-// one Scatter per tile, three entries per iteration. Every interior
-// output location appears three times per tile (right tap of i-1, center
-// tap of i, left tap of i+1), so the stream is duplicate-heavy by
-// construction: a write-combining reducer (spray.Binned) coalesces the
-// three contributions into one flushed update, and because the arrival
-// order per index matches the sequential sweep's order, coalescing
-// reproduces BackpropSeq's summation order exactly. This is the
-// benchmark workload for the binned-vs-unbinned scatter comparison.
-func (w Weights3[T]) RunBackpropScatter(team *spray.Team, r spray.Reducer[T], seed []T) {
-	n := len(seed)
-	spray.RunReduction(team, r, 1, n-1, spray.Static(),
-		func(acc spray.Accessor[T], from, to int) {
-			bacc := spray.Bulk(acc)
-			var idx [3 * backpropTile]int32
-			var vals [3 * backpropTile]T
-			for t0 := from; t0 < to; t0 += backpropTile {
-				m := min(backpropTile, to-t0)
-				k := 0
-				for j := 0; j < m; j++ {
-					i := t0 + j
-					s := seed[i]
-					idx[k], vals[k] = int32(i-1), w.WL*s
-					idx[k+1], vals[k+1] = int32(i), w.WC*s
-					idx[k+2], vals[k+2] = int32(i+1), w.WR*s
-					k += 3
-				}
-				bacc.Scatter(idx[:k], vals[:k])
-			}
-		})
-}
-
 // RunBackpropEach is the element-wise form of RunBackprop — one Add per
 // tap per iteration, the paper's original loop shape. Kept as the
 // reference (and benchmark baseline) for the bulk path.

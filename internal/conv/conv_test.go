@@ -37,11 +37,13 @@ func TestBackpropMatchesSequentialAllStrategies(t *testing.T) {
 	}
 }
 
-// TestRunBackpropScatterMatchesSequential drives the duplicate-heavy
-// interleaved-triple scatter form — plain and through the write-combining
-// wrapper — and checks exact agreement with the sequential sweep (the
-// integer-valued seed makes every summation order exact).
-func TestRunBackpropScatterMatchesSequential(t *testing.T) {
+// TestScatterBackpropMatchesSequential drives the back-propagation
+// through Scatter in its natural adjoint order — per tile, the
+// interleaved triple stream (i-1, wl·s), (i, wc·s), (i+1, wr·s), so every
+// interior location arrives three times per batch — and checks exact
+// agreement with the sequential sweep (the integer-valued seed makes
+// every summation order exact).
+func TestScatterBackpropMatchesSequential(t *testing.T) {
 	const n = 3000
 	w := Weights3[float64]{WL: 0.25, WC: 0.5, WR: 0.25}
 	seed := randSeed(n, 4)
@@ -52,16 +54,27 @@ func TestRunBackpropScatterMatchesSequential(t *testing.T) {
 		spray.BlockCAS(64),
 		spray.Keeper(),
 		spray.Auto(64),
-		spray.Binned(spray.Atomic()),
-		spray.Binned(spray.BlockCAS(64)),
-		spray.Binned(spray.Keeper()),
-		spray.Binned(spray.Auto(64)),
 	} {
 		for _, threads := range []int{1, 4, 7} {
 			team := spray.NewTeam(threads)
 			out := make([]float64, n)
 			r := spray.New(st, out, threads)
-			w.RunBackpropScatter(team, r, seed)
+			spray.RunReduction(team, r, 1, n-1, spray.Static(),
+				func(acc spray.Accessor[float64], from, to int) {
+					var idx [3 * backpropTile]int32
+					var vals [3 * backpropTile]float64
+					for t0 := from; t0 < to; t0 += backpropTile {
+						k := 0
+						for i := t0; i < min(t0+backpropTile, to); i++ {
+							s := seed[i]
+							idx[k], vals[k] = int32(i-1), w.WL*s
+							idx[k+1], vals[k+1] = int32(i), w.WC*s
+							idx[k+2], vals[k+2] = int32(i+1), w.WR*s
+							k += 3
+						}
+						spray.Bulk(acc).Scatter(idx[:k], vals[:k])
+					}
+				})
 			team.Close()
 			if d := num.MaxAbsDiff(out, want); d != 0 {
 				t.Errorf("%s threads=%d: diff %v", st, threads, d)

@@ -167,56 +167,6 @@ func (p *adaptivePrivate[T]) Scatter(idx []int32, vals []T) {
 	}
 }
 
-// FlushBin applies one write-combined bin with the AddN regime logic:
-// each maximal same-block run (the whole bin when the bin block is
-// aligned via BlockSize) takes the escalated view as a plain loop, or the
-// atomic regime with the touch counter bumped once for the run — giving
-// the hotness estimate an accurate per-block count of *distinct* touched
-// locations instead of raw arrival traffic inflated by duplicates. Runs
-// that would cross the threshold mid-way degrade to per-element Add so
-// escalation fires at the same element as the element-wise path.
-func (p *adaptivePrivate[T]) FlushBin(base, end int, idx []int32, vals []T) {
-	parent := p.parent
-	mask, shift := parent.mask, parent.shift
-	thresh := uint32(parent.bsize >> adaptiveThresholdShift)
-	for j := 0; j < len(idx); {
-		b := int(idx[j]) >> shift
-		k := j + 1
-		for k < len(idx) && int(idx[k])>>shift == b {
-			k++
-		}
-		n := k - j
-		if view := p.view[b]; view != nil {
-			for m := j; m < k; m++ {
-				view[int(idx[m])&mask] += vals[m]
-			}
-		} else if p.touch[b]+uint32(n) <= thresh {
-			out := parent.out
-			if p.tel == nil {
-				for m := j; m < k; m++ {
-					num.AtomicAdd(out, int(idx[m]), vals[m])
-				}
-			} else {
-				retries := 0
-				for m := j; m < k; m++ {
-					r := num.AtomicAddRetries(out, int(idx[m]), vals[m])
-					retries += r
-					if r > 0 {
-						p.hot.RecordW(hotspot.CASRetry, int(idx[m]), uint64(r))
-					}
-				}
-				p.tel.Add(telemetry.CASRetries, retries)
-			}
-			p.touch[b] += uint32(n)
-		} else {
-			for m := j; m < k; m++ {
-				p.Add(int(idx[m]), vals[m])
-			}
-		}
-		j = k
-	}
-}
-
 // escalate privatizes block b for this thread.
 func (p *adaptivePrivate[T]) escalate(b int) {
 	p.tel.Inc(telemetry.Escalations)
@@ -289,10 +239,6 @@ func (a *Adaptive[T]) EscalatedBlocks() int {
 	}
 	return n
 }
-
-// BlockSize returns the configured block size (the binned wrapper aligns
-// its write-combining bins with it, like Block.BlockSize).
-func (a *Adaptive[T]) BlockSize() int { return a.bsize }
 
 func (a *Adaptive[T]) Bytes() int64     { return a.mem.Bytes() }
 func (a *Adaptive[T]) PeakBytes() int64 { return a.mem.Peak() }

@@ -126,36 +126,6 @@ func (p *atomicPrivate[T]) Scatter(idx []int32, vals []T) {
 	p.tel.Add(telemetry.CASRetries, retries)
 }
 
-// FlushBin applies one write-combined bin. The indices are unique and
-// confined to [base, end), so the CAS pass walks one warm cache region of
-// the shared array with no same-location retries from this thread —
-// the binned Scatter path's replacement for per-arrival CAS traffic.
-func (p *atomicPrivate[T]) FlushBin(base, end int, idx []int32, vals []T) {
-	out := p.out
-	if p.tel == nil {
-		for j, i := range idx {
-			num.AtomicAdd(out, int(i), vals[j])
-		}
-		return
-	}
-	retries, j0 := 0, 0
-	if len(idx) > 0 && p.tel.Sample(telemetry.CASLatency) {
-		retries += casTimed(p.tel, out, int(idx[0]), vals[0])
-		j0 = 1
-		if retries > 0 {
-			p.hot.RecordW(hotspot.CASRetry, int(idx[0]), uint64(retries))
-		}
-	}
-	for j := j0; j < len(idx); j++ {
-		r := num.AtomicAddRetries(out, int(idx[j]), vals[j])
-		retries += r
-		if r > 0 {
-			p.hot.RecordW(hotspot.CASRetry, int(idx[j]), uint64(r))
-		}
-	}
-	p.tel.Add(telemetry.CASRetries, retries)
-}
-
 func (p *atomicPrivate[T]) Done() {}
 
 // Private returns an accessor that updates the shared array directly.

@@ -253,46 +253,6 @@ func (p *blockPrivate[T]) resolve(b int) []T {
 	return view
 }
 
-// FlushBin applies one write-combined bin. With the bin block aligned to
-// the strategy block (BinBlockSize), the whole bin lands in one block:
-// the view is resolved exactly once — one claim or one fallback lookup
-// per flush instead of a nil-check per element — and a full-size view
-// runs the masked kernel with no per-element bounds check. Misaligned
-// bins degrade gracefully to the Scatter-style per-run resolution.
-func (p *blockPrivate[T]) FlushBin(base, end int, idx []int32, vals []T) {
-	if len(idx) == 0 {
-		return
-	}
-	mask, shift := p.parent.mask, p.parent.shift
-	if b := base >> shift; (end-1)>>shift == b {
-		view := p.view[b]
-		if view == nil {
-			view = p.acquire(b)
-		}
-		if len(view) == p.parent.bsize {
-			maskedScatterAdd(view, idx, vals)
-			return
-		}
-		for j, i := range idx { // partial tail block
-			view[int(i)&mask] += vals[j]
-		}
-		return
-	}
-	lastB := -1
-	var view []T
-	for j, i := range idx {
-		b := int(i) >> shift
-		if b != lastB {
-			view = p.view[b]
-			if view == nil {
-				view = p.acquire(b)
-			}
-			lastB = b
-		}
-		view[int(i)&mask] += vals[j]
-	}
-}
-
 func (p *blockPrivate[T]) Done() {}
 
 // Private allocates the thread's block-pointer table — the only init-time
@@ -386,7 +346,3 @@ func (bl *Block[T]) Bytes() int64     { return bl.mem.Bytes() }
 func (bl *Block[T]) PeakBytes() int64 { return bl.mem.Peak() }
 func (bl *Block[T]) Name() string     { return fmt.Sprintf("%s-%d", bl.mode, bl.bsize) }
 func (bl *Block[T]) Threads() int     { return bl.threads }
-
-// BlockSize returns the configured block size (exported for the Figure 13
-// sweep harness).
-func (bl *Block[T]) BlockSize() int { return bl.bsize }

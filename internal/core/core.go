@@ -84,24 +84,10 @@ func (s bulkShim[T]) Scatter(idx []int32, vals []T) {
 	}
 }
 
-// BinFlusher is the optional write-combining sink on a Private accessor:
-// FlushBin applies one drained bin from the scatter engine. The caller
-// guarantees every index lies in the destination block [base, end), that
-// indices are unique (duplicates were coalesced upstream), and that
-// entries appear in first-arrival order. Implementations must be exactly
-// equivalent to Add(int(idx[j]), vals[j]) for ascending j — the
-// uniqueness guarantee is what lets a strategy claim a block or walk a
-// warm cache region once for the whole bin without reordering sums.
-// Accessors without FlushBin still work through the binned wrapper's
-// Scatter fallback.
-type BinFlusher[T num.Float] interface {
-	FlushBin(base, end int, idx []int32, vals []T)
-}
-
 // MidRegionDrainer is implemented by reducers that can apply inbound
 // cross-thread work cooperatively at chunk boundaries instead of
 // deferring everything to Finalize (the keeper's mailbox drain, and the
-// binned wrapper forwarding to an inner drainer). EnableMidDrain turns
+// wrappers forwarding to an inner drainer). EnableMidDrain turns
 // the mid-region publication machinery on or off between regions;
 // DrainMid(tid) must be called on tid's own goroutine — the run harness
 // wires it to the chunker's chunk-boundary hook. Both are safe no-ops

@@ -8,6 +8,7 @@ import (
 
 	"spray/internal/num"
 	"spray/internal/par"
+	"spray/internal/telemetry"
 )
 
 // update is one out[Idx] += Val contribution generated by iteration Iter.
@@ -535,6 +536,204 @@ func TestFloat32Strategies(t *testing.T) {
 		team.Close()
 		if d := num.MaxAbsDiff(out, want); d != 0 {
 			t.Errorf("float32 %s: diff %v", name, d)
+		}
+	}
+}
+
+// keeperForeignStream builds a scatter batch entirely inside owner 1's
+// range of a 2-thread keeper over [0, 2*chunk).
+func keeperForeignStream(chunk, m int, seed int64) ([]int32, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	idx := make([]int32, m)
+	vals := make([]float64, m)
+	for j := range idx {
+		idx[j] = int32(chunk + rng.Intn(chunk))
+		vals[j] = float64(rng.Intn(9) - 4)
+	}
+	return idx, vals
+}
+
+// TestKeeperMailboxPublishAndDrain exercises the full mid-region path
+// sequentially: publication at the queue threshold, the owner's mailbox
+// drain between chunks, the finalize sweep of late parcels, and parcel
+// recycling — with result correctness and exact capacity retention
+// across regions.
+func TestKeeperMailboxPublishAndDrain(t *testing.T) {
+	const threads, chunk = 2, 4096
+	const n = threads * chunk
+	out := make([]float64, n)
+	k := NewKeeper(out, threads)
+	k.EnableMidDrain(true)
+
+	idx, vals := keeperForeignStream(chunk, 3*keeperMailboxFlush, 5)
+	want := make([]float64, n)
+	for j, i := range idx {
+		want[i] += vals[j]
+	}
+
+	region := func() {
+		a0 := AsBulk(k.Private(0))
+		a1 := AsBulk(k.Private(1))
+		half := len(idx) / 2
+		a0.Scatter(idx[:half], vals[:half]) // publishes at least one parcel
+		k.DrainMid(1)                       // owner applies inbound parcels mid-region
+		a0.Scatter(idx[half:], vals[half:])
+		a0.Done()
+		a1.Done()
+		k.Finalize() // sweeps parcels published after the drain
+	}
+
+	region()
+	if d := num.MaxAbsDiff(out, want); d != 0 {
+		t.Fatalf("mid-drain region diverged: max diff %v", d)
+	}
+	if k.Bytes() == 0 {
+		t.Fatal("Bytes = 0 after publishing parcels; parcel capacity is not accounted")
+	}
+
+	// Regression (capacity-retention rule): parcels recycled through the
+	// returns stacks must keep the second region's footprint exactly flat.
+	bytes1, peak1 := k.Bytes(), k.PeakBytes()
+	clear(out)
+	region()
+	if k.Bytes() != bytes1 || k.PeakBytes() != peak1 {
+		t.Errorf("steady-state region grew keeper memory: bytes %d -> %d, peak %d -> %d",
+			bytes1, k.Bytes(), peak1, k.PeakBytes())
+	}
+	if d := num.MaxAbsDiff(out, want); d != 0 {
+		t.Fatalf("second region diverged: max diff %v", d)
+	}
+}
+
+// TestKeeperMidDrainCutsPeakQueueBytes is the headline memory claim: with
+// mid-region drains, peak queue+parcel memory is bounded by the
+// publication threshold instead of the region's total foreign traffic.
+func TestKeeperMidDrainCutsPeakQueueBytes(t *testing.T) {
+	const threads, chunk = 2, 4096
+	const n = threads * chunk
+	const m = 16 * keeperMailboxFlush
+	idx, vals := keeperForeignStream(chunk, m, 6)
+
+	run := func(mid bool) int64 {
+		out := make([]float64, n)
+		k := NewKeeper(out, threads)
+		k.EnableMidDrain(mid)
+		a0 := AsBulk(k.Private(0))
+		a1 := AsBulk(k.Private(1))
+		const batch = 512
+		for j := 0; j < m; j += batch {
+			a0.Scatter(idx[j:j+batch], vals[j:j+batch])
+			if mid && j%(4*batch) == 0 {
+				k.DrainMid(1) // owner keeps up, parcels recycle
+			}
+		}
+		a0.Done()
+		a1.Done()
+		k.Finalize()
+		return k.PeakBytes()
+	}
+
+	peakOff, peakOn := run(false), run(true)
+	if peakOn >= peakOff {
+		t.Errorf("mid-region drain did not cut peak bytes: on=%d off=%d", peakOn, peakOff)
+	}
+	// The drained peak must be bounded by a few parcels plus the capped
+	// queue, not by the full 16x-threshold foreign stream.
+	if limit := int64(8 * keeperMailboxFlush * 12); peakOn > limit {
+		t.Errorf("drained peak %d exceeds threshold-bound %d", peakOn, limit)
+	}
+}
+
+// TestKeeperMidDrainTelemetry checks the new counters and the dwell
+// collapse: mid-region drains must produce keeper-midregion-drains
+// events and dwell samples far below the no-drain dwell (which spans the
+// whole region).
+func TestKeeperMidDrainTelemetry(t *testing.T) {
+	const threads, chunk = 2, 4096
+	const n = threads * chunk
+	idx, vals := keeperForeignStream(chunk, 2*keeperMailboxFlush, 7)
+
+	out := make([]float64, n)
+	k := NewKeeper(out, threads)
+	rec := telemetry.NewRecorder(k.Name(), threads)
+	k.Instrument(rec)
+	k.EnableMidDrain(true)
+
+	a0 := AsBulk(k.Private(0))
+	a1 := AsBulk(k.Private(1))
+	a0.Scatter(idx, vals)
+	k.DrainMid(1)
+	a0.Done()
+	a1.Done()
+	k.Finalize()
+
+	snap := rec.Snapshot()
+	if got := snap.Get(telemetry.KeeperMidDrains); got == 0 {
+		t.Error("keeper-midregion-drains = 0 after a mid-region drain")
+	}
+	if got := snap.Get(telemetry.KeeperDrained); got != uint64(len(idx)) {
+		t.Errorf("keeper-drained = %d, want %d", got, len(idx))
+	}
+	if h := rec.Hist(telemetry.KeeperDwell); h.Count == 0 {
+		t.Error("keeper-dwell histogram empty; parcels should carry dwell stamps")
+	}
+	// An idle DrainMid must not bump the counter.
+	before := rec.Snapshot().Get(telemetry.KeeperMidDrains)
+	k.DrainMid(1)
+	if got := rec.Snapshot().Get(telemetry.KeeperMidDrains); got != before {
+		t.Errorf("empty DrainMid bumped the counter: %d -> %d", before, got)
+	}
+}
+
+// TestConcurrentMailboxDrain drives the publish/drain protocol with a
+// real team under the dynamic schedule so producers publish while owners
+// drain concurrently — the race-detector coverage for the lock-free
+// mailbox and returns stacks (run under -race via make race-telemetry).
+func TestConcurrentMailboxDrain(t *testing.T) {
+	const threads = 4
+	const n = 1 << 14
+	const iters = 64
+	rng := rand.New(rand.NewSource(8))
+	batches := make([][]int32, iters)
+	bvals := make([][]float64, iters)
+	want := make([]float64, n)
+	for it := range batches {
+		m := 256 + rng.Intn(512)
+		idx := make([]int32, m)
+		vals := make([]float64, m)
+		for j := range idx {
+			idx[j] = int32(rng.Intn(n))
+			vals[j] = float64(rng.Intn(9) - 4)
+			want[idx[j]] += vals[j]
+		}
+		batches[it], bvals[it] = idx, vals
+	}
+
+	for rep := 0; rep < 3; rep++ {
+		out := make([]float64, n)
+		k := NewKeeper(out, threads)
+		rec := telemetry.NewRecorder(k.Name(), threads)
+		k.Instrument(rec)
+		k.EnableMidDrain(true)
+
+		team := par.NewTeam(threads)
+		c := par.NewChunker(par.Dynamic(1), 0, iters, threads)
+		c.SetChunkDone(k.DrainMid)
+		team.Run(func(tid int) {
+			acc := k.Private(tid)
+			bacc := AsBulk(acc)
+			c.For(tid, func(from, to int) {
+				for it := from; it < to; it++ {
+					bacc.Scatter(batches[it], bvals[it])
+				}
+			})
+			acc.Done()
+		})
+		k.FinalizeWith(team)
+		team.Close()
+
+		if d := num.MaxAbsDiff(out, want); d != 0 {
+			t.Fatalf("rep %d: concurrent mailbox run diverged: max diff %v", rep, d)
 		}
 	}
 }

@@ -205,12 +205,6 @@ func (p *keeperPrivate[T]) AddN(base int, vals []T) {
 // range) or appended to the owner's queue as whole sub-slices.
 func (p *keeperPrivate[T]) Scatter(idx []int32, vals []T) {
 	p.tel.IncRun(telemetry.ScatterRuns, len(idx))
-	p.scatterOwners(idx, vals)
-}
-
-// scatterOwners is the owner-partitioning core of Scatter, shared with
-// the straddling-bin fallback of FlushBin.
-func (p *keeperPrivate[T]) scatterOwners(idx []int32, vals []T) {
 	chunk, tid := p.chunk, p.tid
 	for j := 0; j < len(idx); {
 		o := int(idx[j]) / chunk
@@ -230,37 +224,6 @@ func (p *keeperPrivate[T]) scatterOwners(idx []int32, vals []T) {
 		}
 		j = k
 	}
-}
-
-// FlushBin applies one write-combined bin. The bin's destination block
-// lies inside a single ownership range whenever the block is not larger
-// than the ownership chunk and does not straddle a chunk boundary — then
-// the whole bin classifies with one division: a direct plain loop when
-// this thread owns the block, one bulk enqueue to the owner otherwise.
-// Straddling bins fall back to the owner-partitioning scatter core.
-func (p *keeperPrivate[T]) FlushBin(base, end int, idx []int32, vals []T) {
-	if o := base / p.chunk; o == (end-1)/p.chunk {
-		if o == p.tid {
-			p.tel.Add(telemetry.KeeperOwned, len(idx))
-			// The engine hands bins aligned to its power-of-two block, so
-			// a power-of-two-long window [base, end) has base a multiple
-			// of its length and the masked kernel applies (tail windows
-			// with other lengths fall back to the per-element loop).
-			if own := p.out[base:end]; len(own) > 0 && len(own)&(len(own)-1) == 0 {
-				maskedScatterAdd(own, idx, vals)
-			} else {
-				out := p.out
-				for j, i := range idx {
-					out[i] += vals[j]
-				}
-			}
-		} else {
-			p.tel.Add(telemetry.KeeperForeign, len(idx))
-			p.enqueue(o, idx, vals)
-		}
-		return
-	}
-	p.scatterOwners(idx, vals)
 }
 
 // enqueue appends a foreign batch to owner o's queue (the slices are

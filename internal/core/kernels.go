@@ -4,8 +4,8 @@ import "spray/internal/num"
 
 // Bounds-check-free inner kernels shared by the strategies' hot
 // accumulate paths (dense copy merge, block segment accumulate and
-// fallback merge, keeper owned-segment accumulate, write-combined bin
-// flush). Each kernel front-loads one explicit length (or shape) guard
+// fallback merge, keeper owned-segment accumulate, tiered replica-line
+// merge). Each kernel front-loads one explicit length (or shape) guard
 // so the compiler's prove pass can discharge every check inside the
 // loop — including the pinning re-slices, which an implicit prologue
 // re-slice alone would not achieve (the re-slice itself emits
@@ -47,25 +47,5 @@ func addMaskedLine[T num.Float](dst, src []T, m uint16) {
 		if m&(1<<uint(j)) != 0 {
 			dst[j] += src[j]
 		}
-	}
-}
-
-// maskedScatterAdd applies a gathered batch whose destinations all lie
-// in one power-of-two-sized, power-of-two-aligned window of the target
-// array: view[int(i)&(len(view)-1)] += vals[j]. Because the window base
-// is a multiple of len(view), masking the absolute index yields the
-// in-window offset, and prove knows x&(len-1) is always in range — the
-// one scatter shape where the per-element bounds check is reducible.
-func maskedScatterAdd[T num.Float](view []T, idx []int32, vals []T) {
-	if len(view) == 0 || len(view)&(len(view)-1) != 0 {
-		panic("core: maskedScatterAdd window not a power of two")
-	}
-	if len(vals) < len(idx) {
-		panic("core: maskedScatterAdd fewer values than indices")
-	}
-	mask := len(view) - 1
-	vals = vals[:len(idx)]
-	for j, i := range idx {
-		view[int(i)&mask] += vals[j]
 	}
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"spray/internal/scatter"
-)
+import "testing"
 
 // TestOffPathSamplingGateNoAlloc guards the telemetry-off hot paths at
 // the allocator level: with no recorder attached, the sampling and
@@ -40,24 +36,6 @@ func TestOffPathSamplingGateNoAlloc(t *testing.T) {
 			acc.Add(7, 1)
 			acc.AddN(512, vals) // resolves its block in the warm-up run
 			acc.Scatter(idx, vals)
-		})
-	})
-
-	t.Run("binned-atomic", func(t *testing.T) {
-		// The write-combining wrapper: staging, bin-full emits, drains and
-		// the flush dispatch must all run on pooled storage after warm-up.
-		out := make([]float64, n)
-		br := NewBinned(NewAtomic(out, 1), out,
-			scatter.Config{BlockSize: 256, BinCap: 32, MaxLive: 4})
-		acc := AsBulk(br.Private(0))
-		spread := make([]int32, len(vals))
-		for j := range spread {
-			spread[j] = int32((j * 997) % n) // touches > MaxLive blocks
-		}
-		assertNoAllocs(t, func() {
-			acc.Scatter(idx, vals)
-			acc.Scatter(spread, vals)
-			acc.Done()
 		})
 	})
 

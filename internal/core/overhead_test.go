@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"spray/internal/num"
-	"spray/internal/scatter"
 )
 
 // rawAtomicPrivate replicates atomicPrivate's uninstrumented method bodies
@@ -248,97 +247,5 @@ func TestTelemetryOffOverheadTiered(t *testing.T) {
 		}
 	}
 	t.Errorf("telemetry-off tiered accessor is %.2f%% slower than the ungated replica (budget 2%%)",
-		100*(ratio-1))
-}
-
-// rawBinnedPrivate replicates the telemetry-off binned accessor with the
-// gates deleted: the same write-combining engine, but the flush sink is
-// the bare CAS loop (atomicPrivate's FlushBin nil branch) and Scatter and
-// Done skip the shard calls. The bodies must stay copies of the
-// `tel == nil` branches in binned.go and atomic.go.
-type rawBinnedPrivate[T num.Float] struct {
-	inner rawAtomicPrivate[T]
-	eng   *scatter.Binner[T]
-}
-
-func newRawBinned[T num.Float](out []T, cfg scatter.Config) *rawBinnedPrivate[T] {
-	p := &rawBinnedPrivate[T]{inner: rawAtomicPrivate[T]{out: out}}
-	p.eng = scatter.New(func(base, end int, idx []int32, vals []T) {
-		for j, i := range idx {
-			num.AtomicAdd(out, int(i), vals[j])
-		}
-	}, len(out), cfg)
-	return p
-}
-
-func (p *rawBinnedPrivate[T]) Add(i int, v T)          { p.inner.Add(i, v) }
-func (p *rawBinnedPrivate[T]) AddN(base int, vals []T) { p.inner.AddN(base, vals) }
-func (p *rawBinnedPrivate[T]) Scatter(idx []int32, vals []T) {
-	p.eng.Scatter(idx, vals)
-}
-func (p *rawBinnedPrivate[T]) Done() {
-	p.eng.Flush()
-	p.eng.TakeCoalesced()
-}
-
-// driveOverheadBinned is driveOverheadBulk plus the per-region Done the
-// binned accessor needs to flush its staged bins.
-func driveOverheadBinned(acc BulkPrivate[float32], tile []float32, idx []int32, svals []float32, n, passes int) {
-	driveOverheadBulk(acc, tile, idx, svals, n, passes)
-	acc.Done()
-}
-
-// TestTelemetryOffOverheadBinned extends the overhead acceptance to the
-// write-combining wrapper: with no recorder attached, the binned atomic
-// accessor (nil-check gates in Scatter staging, the flush dispatch and
-// Done) must stay within 2% of the ungated replica over the same engine
-// geometry and the same output array.
-func TestTelemetryOffOverheadBinned(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive")
-	}
-	const n, tileLen, passes = 1 << 12, 1024, 20
-	cfg := scatter.Config{BlockSize: 1024, BinCap: 256, MaxLive: 16}
-	tile := make([]float32, tileLen)
-	for i := range tile {
-		tile[i] = 1
-	}
-	idx := make([]int32, 512)
-	svals := make([]float32, 512)
-	for i := range idx {
-		idx[i] = int32((i * 97) % n)
-		svals[i] = 1
-	}
-
-	out := make([]float32, n)
-	br := NewBinned(NewAtomic(out, 1), out, cfg)
-	gated := AsBulk(br.Private(0))
-	raw := AsBulk(Private[float32](newRawBinned(out, cfg)))
-
-	const maxRatio = 1.02
-	var ratio float64
-	for attempt := 0; attempt < 5; attempt++ {
-		bestGated, bestRaw := time.Duration(1<<62-1), time.Duration(1<<62-1)
-		driveOverheadBinned(gated, tile, idx, svals, n, 2)
-		driveOverheadBinned(raw, tile, idx, svals, n, 2)
-		for rep := 0; rep < 7; rep++ {
-			start := time.Now()
-			driveOverheadBinned(gated, tile, idx, svals, n, passes)
-			if d := time.Since(start); d < bestGated {
-				bestGated = d
-			}
-			start = time.Now()
-			driveOverheadBinned(raw, tile, idx, svals, n, passes)
-			if d := time.Since(start); d < bestRaw {
-				bestRaw = d
-			}
-		}
-		ratio = float64(bestGated) / float64(bestRaw)
-		t.Logf("attempt %d: gated %v raw %v ratio %.4f", attempt, bestGated, bestRaw, ratio)
-		if ratio <= maxRatio {
-			return
-		}
-	}
-	t.Errorf("telemetry-off binned accessor is %.2f%% slower than the ungated replica (budget 2%%)",
 		100*(ratio-1))
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 
 	"spray/internal/par"
@@ -253,34 +254,49 @@ func TestKeeperDrainedWithTeamFinalize(t *testing.T) {
 
 // TestAtomicCASRetryCounting verifies the retry plumbing end to end under
 // real contention: many goroutines hammering one element must record at
-// least one lost CAS, and the sum must stay exact.
+// least one lost CAS, and the sum must stay exact. The writers start
+// behind a barrier so their loops overlap, and the region repeats (a
+// bounded number of times) until one round interleaves — a single round
+// can still run its writers back to back when the scheduler deschedules
+// them, which is not a plumbing failure. On a loaded host a round only
+// interleaves when the OS runs two writers at once, so the bound is
+// generous; a passing run usually stops after the first round.
 func TestAtomicCASRetryCounting(t *testing.T) {
-	const threads, per = 4, 20000
-	out := make([]float64, 4)
+	const threads, per, maxRounds = 4, 20000, 1000
 	team := par.NewTeam(threads)
 	defer team.Close()
-	r := NewAtomic(out, threads)
-	rec := telemetry.NewRecorder(r.Name(), threads)
-	r.Instrument(rec)
-	team.Run(func(tid int) {
-		p := r.Private(tid)
-		for i := 0; i < per; i++ {
-			p.Add(0, 1) // single hot element
+	for round := 1; ; round++ {
+		out := make([]float64, 4)
+		r := NewAtomic(out, threads)
+		rec := telemetry.NewRecorder(r.Name(), threads)
+		r.Instrument(rec)
+		var start sync.WaitGroup
+		start.Add(threads)
+		team.Run(func(tid int) {
+			p := r.Private(tid)
+			start.Done()
+			start.Wait()
+			for i := 0; i < per; i++ {
+				p.Add(0, 1) // single hot element
+			}
+			p.Done()
+		})
+		r.Finalize()
+		if out[0] != threads*per {
+			t.Fatalf("round %d: sum %v, want %d (instrumented CAS dropped updates)", round, out[0], threads*per)
 		}
-		p.Done()
-	})
-	r.Finalize()
-	if out[0] != threads*per {
-		t.Fatalf("sum %v, want %d (instrumented CAS dropped updates)", out[0], threads*per)
-	}
-	snap := rec.Snapshot()
-	if got := snap.Get(telemetry.Updates); got != threads*per {
-		t.Errorf("updates = %d, want %d", got, threads*per)
-	}
-	// Lost CASes require true parallelism; on a single-core runner the
-	// goroutines serialize and zero retries is the correct reading.
-	if runtime.GOMAXPROCS(0) > 1 && snap.Get(telemetry.CASRetries) == 0 {
-		t.Error("no CAS retries recorded on a single hot element with 4 writers")
+		snap := rec.Snapshot()
+		if got := snap.Get(telemetry.Updates); got != threads*per {
+			t.Fatalf("round %d: updates = %d, want %d", round, got, threads*per)
+		}
+		// Lost CASes require true parallelism; on a single-core runner the
+		// goroutines serialize and zero retries is the correct reading.
+		if runtime.GOMAXPROCS(0) == 1 || snap.Get(telemetry.CASRetries) > 0 {
+			return
+		}
+		if round == maxRounds {
+			t.Fatalf("no CAS retries recorded in %d rounds on a single hot element with %d writers", maxRounds, threads)
+		}
 	}
 }
 

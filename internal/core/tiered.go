@@ -42,7 +42,7 @@ import (
 // by updates are flushed or merged (a per-slot bitmask tracks them), so
 // untouched elements are never perturbed — not even by adding a zero.
 //
-// Like the binned wrapper, Tiered relaxes one letter of the BulkPrivate
+// Tiered relaxes one letter of the BulkPrivate
 // contract: a batch is routed by temperature, so cold elements of a
 // Scatter batch reach the inner strategy slightly later than interleaved
 // hot elements (staged in arrival order), and a line's hot partial is
@@ -126,7 +126,6 @@ const (
 type tieredPrivate[T num.Float] struct {
 	parent *Tiered[T]
 	inner  BulkPrivate[T]
-	sink   BinFlusher[T] // inner's bin sink, for FlushBin forwarding
 
 	// Geometry copied from the parent so the hot path dereferences one
 	// pointer (the accessor) instead of two.
@@ -149,8 +148,9 @@ type tieredPrivate[T num.Float] struct {
 	cand []hotspot.LineCount // rebalance scratch (tracker top-K)
 	fidx []int32             // eviction-flush scratch, cap lineElems
 	fval []T
-	cidx []int32 // cold-remainder staging for Scatter/FlushBin
+	cidx []int32 // cold-remainder staging for Scatter
 	cval []T
+	nc   int // staged entries in cidx/cval
 	// hotHits batches the hot-hit counter in a plain field and flushes to
 	// the telemetry shard at Done: the hot path is a handful of ns, so
 	// even a nil-gated shard call per element would be measurable there
@@ -274,9 +274,7 @@ func (tr *Tiered[T]) Slots() int { return tr.slots }
 // seed set, when present, is (re-)installed.
 func (tr *Tiered[T]) Private(tid int) Private[T] {
 	p := &tr.privs[tid]
-	ip := AsBulk(tr.inner.Private(tid))
-	p.inner = ip
-	p.sink, _ = ip.(BinFlusher[T])
+	p.inner = AsBulk(tr.inner.Private(tid))
 	p.tel = tr.tel.Shard(tid)
 	p.hot = p.tel.Hot()
 	if p.tags == nil {
@@ -468,9 +466,11 @@ func (p *tieredPrivate[T]) coldRun(base int, vals []T) {
 
 // Scatter routes each element by temperature: hot elements accumulate in
 // place immediately, cold elements are staged in arrival order and
-// flushed to the inner strategy in batches.
+// flushed to the inner strategy in batches. The staging state lives in
+// the accessor, not in loop locals, so the hot loop carries nothing
+// across the cold path's flush call.
 func (p *tieredPrivate[T]) Scatter(idx []int32, vals []T) {
-	hot, nc := 0, 0
+	p.hotHits += len(idx) // stageCold takes the cold elements back out
 	for j, i := range idx {
 		ln := int32(uint32(i) >> p.shift)
 		s := uint32(ln) & p.slotMask
@@ -478,79 +478,40 @@ func (p *tieredPrivate[T]) Scatter(idx []int32, vals []T) {
 			off := int(i) & p.emask
 			p.buf[int(s)*p.lineElems+off] += vals[j]
 			p.masks[s] |= 1 << uint(off)
-			hot++
 			continue
 		}
-		p.cidx[nc] = i
-		p.cval[nc] = vals[j]
-		nc++
-		if nc == len(p.cidx) {
-			p.flushCold(p.cidx, p.cval, nil)
-			nc = 0
-		}
+		p.stageCold(i, vals[j])
 	}
-	if nc > 0 {
-		p.flushCold(p.cidx[:nc], p.cval[:nc], nil)
+	if p.nc > 0 {
+		p.flushCold(p.cidx[:p.nc], p.cval[:p.nc])
+		p.nc = 0
 	}
-	p.hotHits += hot
 }
 
-// flushCold hands a staged cold batch to the inner strategy — through
-// the given bin sink when the batch came from a write-combining bin
-// flush, else through Scatter — and feeds the online tracker.
-func (p *tieredPrivate[T]) flushCold(idx []int32, vals []T, bin func(idx []int32, vals []T)) {
-	p.tel.Add(telemetry.TieredColdMisses, len(idx))
-	if bin != nil {
-		bin(idx, vals)
-	} else {
-		p.inner.Scatter(idx, vals)
+// stageCold appends one cold element to the staging buffer, flushing the
+// buffer to the inner strategy when it fills.
+func (p *tieredPrivate[T]) stageCold(i int32, v T) {
+	p.hotHits--
+	p.cidx[p.nc] = i
+	p.cval[p.nc] = v
+	p.nc++
+	if p.nc == len(p.cidx) {
+		p.flushCold(p.cidx, p.cval)
+		p.nc = 0
 	}
+}
+
+// flushCold hands a staged cold batch to the inner strategy's Scatter
+// and feeds the online tracker.
+func (p *tieredPrivate[T]) flushCold(idx []int32, vals []T) {
+	p.tel.Add(telemetry.TieredColdMisses, len(idx))
+	p.inner.Scatter(idx, vals)
 	p.coldSince += len(idx)
 	p.trk.RecordBatch(hotspot.TieredCold, idx)
 	p.hot.RecordBatch(hotspot.TieredCold, idx)
 	if p.coldSince >= p.rebalance {
 		p.rebalanceNow()
 	}
-}
-
-// FlushBin keeps the write-combining fast path alive under a binned
-// wrapper: hot elements of the drained bin accumulate in place, the cold
-// remainder (still unique, in-block, in first-arrival order) forwards to
-// the inner strategy's own bin sink when it has one.
-func (p *tieredPrivate[T]) FlushBin(base, end int, idx []int32, vals []T) {
-	hot, nc := 0, 0
-	for j, i := range idx {
-		ln := int32(uint32(i) >> p.shift)
-		s := uint32(ln) & p.slotMask
-		if p.tags[s] == ln {
-			off := int(i) & p.emask
-			p.buf[int(s)*p.lineElems+off] += vals[j]
-			p.masks[s] |= 1 << uint(off)
-			hot++
-			continue
-		}
-		p.cidx[nc] = i
-		p.cval[nc] = vals[j]
-		nc++
-		if nc == len(p.cidx) {
-			p.dispatchBin(base, end, p.cidx, p.cval)
-			nc = 0
-		}
-	}
-	if nc > 0 {
-		p.dispatchBin(base, end, p.cidx[:nc], p.cval[:nc])
-	}
-	p.hotHits += hot
-}
-
-func (p *tieredPrivate[T]) dispatchBin(base, end int, idx []int32, vals []T) {
-	if p.sink != nil {
-		p.flushCold(idx, vals, func(idx []int32, vals []T) {
-			p.sink.FlushBin(base, end, idx, vals)
-		})
-		return
-	}
-	p.flushCold(idx, vals, nil)
 }
 
 // rebalanceNow promotes the online tracker's current top candidates:
@@ -678,16 +639,6 @@ func (tr *Tiered[T]) Instrument(rec *telemetry.Recorder) {
 	if in, ok := tr.inner.(Instrumentable); ok {
 		in.Instrument(rec)
 	}
-}
-
-// BlockSize forwards the inner strategy's block geometry (0 when it has
-// none) so an enclosing binned wrapper aligns its bins with the inner
-// blocks, exactly as it would without the tiered layer in between.
-func (tr *Tiered[T]) BlockSize() int {
-	if bs, ok := tr.inner.(interface{ BlockSize() int }); ok {
-		return bs.BlockSize()
-	}
-	return 0
 }
 
 // Bytes reports the inner strategy's memory plus the replica caches,

@@ -8,7 +8,6 @@ import (
 
 	"spray/internal/num"
 	"spray/internal/par"
-	"spray/internal/scatter"
 	"spray/internal/telemetry"
 )
 
@@ -331,55 +330,6 @@ func TestTieredEvictionFlushesPartial(t *testing.T) {
 	}
 	if rec.Snapshot().Get(telemetry.TieredEvictions) == 0 {
 		t.Error("no eviction recorded despite slot displacement")
-	}
-}
-
-// TestTieredUnderBinnedWrapper checks the binned+hot+atomic nesting: the
-// write-combining engine's bin flushes route through the tiered
-// FlushBin, and the result stays exact.
-func TestTieredUnderBinnedWrapper(t *testing.T) {
-	const n, threads, iters = 1 << 13, 3, 80
-	rng := rand.New(rand.NewSource(17))
-	out := make([]float64, n)
-	want := make([]float64, n)
-	tr := NewTiered(NewAtomic(out, threads), out, tieredCfgAggressive)
-	b := NewBinned[float64](tr, out, scatter.Config{})
-	rec := telemetry.NewRecorder(b.Name(), threads)
-	b.Instrument(rec)
-
-	batches := make([][]int32, iters)
-	bvals := make([][]float64, iters)
-	for it := range batches {
-		m := 128 + rng.Intn(256)
-		idx := make([]int32, m)
-		vals := make([]float64, m)
-		for j := range idx {
-			if j%3 != 0 { // duplicate-heavy hot traffic
-				idx[j] = int32(rng.Intn(16) * tr.LineElems())
-			} else {
-				idx[j] = int32(rng.Intn(n))
-			}
-			vals[j] = float64(rng.Intn(9) - 4)
-			want[idx[j]] += vals[j]
-		}
-		batches[it], bvals[it] = idx, vals
-	}
-	team := par.NewTeam(threads)
-	team.Run(func(tid int) {
-		acc := AsBulk(b.Private(tid))
-		from, to := par.StaticRange(0, iters, tid, threads)
-		for it := from; it < to; it++ {
-			acc.Scatter(batches[it], bvals[it])
-		}
-		acc.Done()
-	})
-	b.FinalizeWith(team)
-	team.Close()
-	if d := num.MaxAbsDiff(out, want); d != 0 {
-		t.Fatalf("binned+hot run diverged: max diff %v", d)
-	}
-	if rec.Snapshot().Get(telemetry.BinFlushes) == 0 {
-		t.Error("binned wrapper flushed no bins")
 	}
 }
 

@@ -42,37 +42,6 @@ func TestFig11ProducesAllSeries(t *testing.T) {
 	}
 }
 
-func TestScatterExperimentSeries(t *testing.T) {
-	cfg := DefaultScatterConfig(4_000, 2)
-	cfg.Runner = quickRunner()
-	cfg.Strategies = []spray.Strategy{spray.Atomic(), spray.Keeper()}
-	cfg.Telemetry = true
-	for name, res := range map[string]*bench.Result{
-		"conv": ScatterConv(cfg),
-		"tmv":  ScatterTMV(cfg),
-	} {
-		if res.Baseline <= 0 {
-			t.Errorf("%s: no sequential baseline", name)
-		}
-		if want := 2 * len(cfg.Strategies); len(res.Series) != want {
-			t.Fatalf("%s: series %d, want %d", name, len(res.Series), want)
-		}
-		for _, s := range res.Series {
-			if len(s.Points) != len(cfg.Threads) {
-				t.Errorf("%s/%s: %d points, want %d", name, s.Name, len(s.Points), len(cfg.Threads))
-			}
-			for _, p := range s.Points {
-				if p.Time.Mean <= 0 {
-					t.Errorf("%s/%s x=%v: non-positive time", name, s.Name, p.X)
-				}
-				if strings.HasSuffix(s.Name, "/binned") && p.Counters["bin-flushes"] == 0 {
-					t.Errorf("%s/%s x=%v: binned run recorded no bin flushes", name, s.Name, p.X)
-				}
-			}
-		}
-	}
-}
-
 func TestTieredExperimentSeries(t *testing.T) {
 	cfg := DefaultTieredConfig(4_000, 2)
 	cfg.Runner = quickRunner()

@@ -44,8 +44,8 @@ type PlanConfig struct {
 }
 
 // DefaultPlanConfig pits the plan wrapper against the strategies it
-// bypasses: the no-memory atomic reference, the paper's block and keeper
-// schemes, and the write-combining binned wrapper.
+// bypasses: the no-memory atomic reference and the paper's block and
+// keeper schemes.
 func DefaultPlanConfig(rows, threads int) PlanConfig {
 	return PlanConfig{
 		Rows:       rows,
@@ -55,7 +55,6 @@ func DefaultPlanConfig(rows, threads int) PlanConfig {
 			spray.Atomic(),
 			spray.BlockCAS(1024),
 			spray.Keeper(),
-			spray.Binned(spray.Atomic()),
 			spray.Planned(spray.Atomic()),
 			spray.Planned(spray.Keeper()),
 		},

@@ -49,9 +49,6 @@ const (
 	// KeeperForeign: an update was submitted to a foreign owner's
 	// queue; weight = number of foreign elements.
 	KeeperForeign
-	// BinCollision: the write-combining engine coalesced a duplicate
-	// index inside a bin (a same-line collision by construction).
-	BinCollision
 	// PlanExchange: a compiled plan merged an exchange-list entry, i.e.
 	// an index owned by another thread at execute time.
 	PlanExchange
@@ -62,12 +59,11 @@ const (
 	TieredCold
 
 	// NumClasses is the number of conflict classes.
-	NumClasses = 6
+	NumClasses = 5
 )
 
 var classNames = [NumClasses]string{
-	"cas-retry", "block-contention", "keeper-foreign", "bin-collision", "plan-exchange",
-	"tiered-cold",
+	"cas-retry", "block-contention", "keeper-foreign", "plan-exchange", "tiered-cold",
 }
 
 // String returns the stable kebab-case name used in exports.

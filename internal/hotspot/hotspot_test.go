@@ -168,7 +168,7 @@ func TestHotspotTopKAdmitsHeavyLine(t *testing.T) {
 func TestHotspotReset(t *testing.T) {
 	p := exact("atomic", 1024, 2)
 	p.Shard(0).Record(CASRetry, 0)
-	p.Shard(1).RecordW(BinCollision, 64, 5)
+	p.Shard(1).RecordW(PlanExchange, 64, 5)
 	p.Reset()
 	prof := p.Snapshot()
 	if prof.TotalConflicts() != 0 || len(prof.Lines) != 0 {
@@ -210,8 +210,8 @@ func TestHotspotMergeAndGeometry(t *testing.T) {
 }
 
 func TestHotspotProfileJSONRoundTrip(t *testing.T) {
-	p := exact("binned+atomic", 1024, 2)
-	p.Shard(0).RecordW(BinCollision, 24, 9)
+	p := exact("plan+atomic", 1024, 2)
+	p.Shard(0).RecordW(PlanExchange, 24, 9)
 	p.Shard(1).Record(CASRetry, 800)
 	prof := p.Snapshot()
 	prof.Updates = 1 << 20
@@ -225,7 +225,7 @@ func TestHotspotProfileJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].Strategy != "binned+atomic" || got[0].Updates != prof.Updates {
+	if len(got) != 1 || got[0].Strategy != "plan+atomic" || got[0].Updates != prof.Updates {
 		t.Fatalf("round trip: %+v", got)
 	}
 	if got[0].TotalConflicts() != prof.TotalConflicts() {

@@ -154,8 +154,8 @@ var metrics = []metric{
 		},
 		floor:   0.01,
 		counter: "cas-retries",
-		suggest: func(st string) string {
-			return "advisor suggests block or binned+" + st + " (write-combining coalesces duplicate indices before the CAS loop)"
+		suggest: func(string) string {
+			return "advisor suggests block-cas (a claimed block absorbs contended updates without a per-element CAS loop)"
 		},
 	},
 	{

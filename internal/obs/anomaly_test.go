@@ -80,7 +80,7 @@ func TestAnomalyDetectorFlagsCASStorm(t *testing.T) {
 	if ev.Z < 4 {
 		t.Errorf("z = %v, want >= sigma", ev.Z)
 	}
-	if !strings.Contains(ev.Suggestion, "binned") || !strings.Contains(ev.Message, "cas-retries") {
+	if !strings.Contains(ev.Suggestion, "block-cas") || !strings.Contains(ev.Message, "cas-retries") {
 		t.Errorf("message lacks remediation/counter: %q / %q", ev.Message, ev.Suggestion)
 	}
 

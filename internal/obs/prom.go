@@ -54,7 +54,7 @@ func promName(s string) string {
 
 // promLabel escapes a label value per the exposition format: backslash,
 // double quote and newline are escaped, everything else passes through
-// (strategy names like `binned+atomic` or `block-cas-1024` are legal
+// (strategy names like `plan+keeper` or `block-cas-1024` are legal
 // label values as-is).
 func promLabel(s string) string {
 	var b strings.Builder

@@ -2,7 +2,7 @@
 // strategies: a plan-compiled reducer that records one parallel region's
 // per-thread update stream, compiles it into a race-free execution plan,
 // and replays every subsequent identical region without paying the inner
-// strategy's conflict resolution (atomics, claims, queues, binning) again.
+// strategy's conflict resolution (atomics, claims, queues) again.
 //
 // The model is MKL's sparse inspector/executor, the paper's strongest
 // repeated-reduction comparator: iterative workloads (tMV time loops, FEM

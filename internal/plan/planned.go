@@ -543,7 +543,7 @@ func (r *Planned[T]) DrainMid(tid int) {
 }
 
 // Instrument attaches (nil: detaches) the recorder to the wrapper and
-// the inner reducer, like the binned wrapper: plan counters (plan-hits,
+// the inner reducer, like the hot-set wrapper: plan counters (plan-hits,
 // plan-misses, plan-invalidations, plan-compile-latency) appear next to
 // the inner strategy's own in one report.
 func (r *Planned[T]) Instrument(rec *telemetry.Recorder) {

@@ -30,7 +30,7 @@ func RunTMulVec[T num.Float](team *spray.Team, r spray.Reducer[T], a *CSR[T], x 
 
 // RunTMulVecSched is RunTMulVec with an explicit loop schedule. Chunked
 // schedules (StaticChunk, Dynamic) give reducers with a mid-region drain
-// (keeper, and binned wrappers over it) chunk boundaries inside each
+// (keeper, and wrappers over it) chunk boundaries inside each
 // member's row range, so inbound foreign work is applied while the region
 // runs instead of piling up until Finalize.
 func RunTMulVecSched[T num.Float](team *spray.Team, r spray.Reducer[T], a *CSR[T], x []T, s spray.Schedule) {

@@ -59,11 +59,11 @@ func TestRunTMulVecIterated(t *testing.T) {
 }
 
 func TestRunTMulVecSchedMatches(t *testing.T) {
-	// Chunked schedules give mid-region-drain reducers (keeper, binned
-	// wrappers) boundaries inside each member's range; results must not
-	// depend on the schedule or on binning. Small-integer values keep
-	// every summation order exact, so the comparison is bitwise even
-	// though coalescing reassociates cross-row duplicates.
+	// Chunked schedules give mid-region-drain reducers (keeper, and the
+	// hot-set wrapper forwarding to it) boundaries inside each member's
+	// range; results must not depend on the schedule. Small-integer values
+	// keep every summation order exact, so the comparison is bitwise even
+	// though the hot-set cache reassociates same-line contributions.
 	rng := rand.New(rand.NewSource(14))
 	c := NewCOO[float64](600, 600)
 	for i := 0; i < 600; i++ {
@@ -83,8 +83,7 @@ func TestRunTMulVecSchedMatches(t *testing.T) {
 	a.TMulVecSeq(x, want)
 	for _, st := range []spray.Strategy{
 		spray.Keeper(),
-		spray.Binned(spray.Keeper()),
-		spray.Binned(spray.Atomic()),
+		spray.Tiered(spray.Keeper()),
 	} {
 		for _, sched := range []spray.Schedule{
 			spray.Static(), spray.StaticChunk(32), spray.Dynamic(16),

@@ -32,7 +32,7 @@ type Event struct {
 	// Z is the z-score that crossed the detector threshold.
 	Z float64 `json:"z,omitempty"`
 	// Suggestion is the remediation hint attached by the attribution
-	// table ("advisor suggests block or binned+atomic").
+	// table ("advisor suggests block-cas").
 	Suggestion string `json:"suggestion,omitempty"`
 	// Message is the ready-to-log human-readable rendering.
 	Message string `json:"message"`

@@ -30,11 +30,6 @@ const (
 	// stamped and measured when that owner's queue drains (or, with the
 	// mid-region mailbox path, when a published parcel is applied).
 	KeeperDwell
-	// FlushLatency is the latency of flushing one write-combining bin
-	// through the strategy's sink — the per-block claim/CAS/apply pass
-	// the binned Scatter path pays instead of per-element work. Sampled
-	// 1-in-N flushes.
-	FlushLatency
 	// PlanCompile is the latency of compiling one execution plan from a
 	// recorded region (ownership partitioning plus exchange-list
 	// construction). Compilation is rare — once per record region — so
@@ -56,7 +51,6 @@ var hkindNames = [NumHKinds]string{
 	CASLatency:   "cas-latency",
 	ClaimLatency: "claim-latency",
 	KeeperDwell:  "keeper-dwell",
-	FlushLatency: "flush-latency",
 	PlanCompile:  "plan-compile-latency",
 	EvictFlush:   "evict-flush-latency",
 }

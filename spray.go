@@ -34,7 +34,6 @@ import (
 	"spray/internal/num"
 	"spray/internal/par"
 	"spray/internal/plan"
-	"spray/internal/scatter"
 )
 
 // Value is the element type constraint for reducers: any floating-point
@@ -148,13 +147,9 @@ func ParallelFor(t *Team, lo, hi int, s Schedule, body func(tid, from, to int)) 
 func New[T Value](st Strategy, out []T, threads int) Reducer[T] {
 	r := newInner(st, out, threads)
 	if st.tiered {
-		// The hot-set cache sits directly on the base strategy: staged
-		// layers above it (bins, plans) then see the temperature split
-		// through the cache's BinFlusher/BlockSize forwarding.
+		// The hot-set cache sits directly on the base strategy, so a plan
+		// layer above it records the temperature-split stream.
 		r = core.NewTiered(r, out, core.TieredConfig{})
-	}
-	if st.binned {
-		r = core.NewBinned(r, out, scatter.Config{})
 	}
 	if st.planned {
 		// The plan wrapper goes outermost so record mode captures the

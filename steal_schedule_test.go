@@ -2,8 +2,7 @@ package spray
 
 // Strategy-hook audit for the steal schedule: every reducer hook that
 // fires at chunk boundaries — the keeper's mid-region mailbox drain, the
-// tiered wrapper's rebalance, the binned wrapper's flushes, the plan
-// wrapper's tape verification — was designed against the monotone
+// tiered wrapper's rebalance, the plan wrapper's tape verification — was designed against the monotone
 // per-member chunk order of the static/dynamic/guided schedules. The
 // steal schedule delivers chunks out of order and moves them between
 // members mid-region, so these tests force heavy stealing (a stalled
@@ -50,7 +49,6 @@ func TestStealScheduleAllStrategies(t *testing.T) {
 	const n = 30_000
 	in := testInput(n)
 	all := append(AllStrategies(),
-		Binned(Atomic()), Binned(Keeper()),
 		Tiered(Atomic()), Tiered(Keeper()),
 		Planned(Atomic()), Planned(Keeper()))
 	for _, st := range all {

@@ -37,7 +37,6 @@ type Strategy struct {
 	kind    kind
 	param   int // block size for block-*, node degree for btree
 	tiered  bool
-	binned  bool
 	planned bool
 }
 
@@ -98,22 +97,6 @@ func Auto(blockSize int) Strategy {
 // per-thread partials carry correction terms, at twice Dense's memory.
 func Compensated() Strategy { return Strategy{kind: kindCompensated} }
 
-// Binned wraps any strategy with the software write-combining engine:
-// Scatter batches are staged into per-thread destination-block bins,
-// duplicate indices are coalesced, and whole bins flush through the
-// strategy at once. Add and AddN bypass the engine. Prints and parses as
-// "binned+<inner>", e.g. "binned+atomic". Worth it for duplicate-heavy
-// or block-revisiting scatter streams; a stream of unique near-sorted
-// indices only pays the staging copy. Note that coalescing pre-sums
-// same-index contributions in arrival order, so results can differ in
-// the last bits from the element-wise order (exact for integer-valued
-// data); Ordered's bitwise-reproducibility guarantee does not survive
-// the wrapper.
-func Binned(inner Strategy) Strategy {
-	inner.binned = true
-	return inner
-}
-
 // Planned wraps any strategy with the plan-compiled inspector–executor:
 // the first region records the per-thread update stream through the
 // inner strategy, then compiles it into thread-owned segments plus
@@ -123,7 +106,7 @@ func Binned(inner Strategy) Strategy {
 // the recorded pattern (unseen index, reshaped batch, missing thread) is
 // completed correctly, invalidates the plan, and triggers a re-record;
 // repeated invalidation degrades to a permanent passthrough. Prints and
-// parses as "plan+<inner>", e.g. "plan+atomic" or "plan+binned+keeper".
+// parses as "plan+<inner>", e.g. "plan+atomic" or "plan+hot+keeper".
 // Worth it for iterative workloads (tMV time loops, FEM assembly, conv
 // backprop) that replay one index pattern many times — the inspection
 // cost amortizes like MKL's inspector/executor; a pattern that changes
@@ -144,12 +127,11 @@ func Planned(inner Strategy) Strategy {
 // "hot+atomic". Worth it when contention is concentrated on a hot set
 // too large to ignore but far smaller than the array (Zipfian/skewed
 // access); a uniform access pattern only pays the tag lookup. Nesting:
-// hot+ applies directly to a base strategy — "binned+hot+atomic" and
-// "plan+hot+atomic" are valid, "hot+binned+..." and "hot+plan+..." are
-// not (the cache belongs below the staging layers, next to the
-// strategy). Like binned+, the wrapper pre-sums same-line contributions
-// in arrival order, so results can differ in the last bits from the
-// element-wise order (exact for integer-valued data).
+// hot+ applies directly to a base strategy — "plan+hot+atomic" is valid,
+// "hot+plan+..." is not (the cache belongs below the plan layer, next to
+// the strategy). The wrapper pre-sums same-line contributions in arrival
+// order, so results can differ in the last bits from the element-wise
+// order (exact for integer-valued data).
 func Tiered(inner Strategy) Strategy {
 	inner.tiered = true
 	return inner
@@ -163,17 +145,12 @@ func defaultBlock(b int) int {
 }
 
 // String renders the strategy in the paper's naming convention, e.g.
-// "block-cas-1024" or "binned+atomic".
+// "block-cas-1024" or "plan+hot+atomic".
 func (s Strategy) String() string {
 	if s.planned {
 		base := s
 		base.planned = false
 		return "plan+" + base.String()
-	}
-	if s.binned {
-		base := s
-		base.binned = false
-		return "binned+" + base.String()
 	}
 	if s.tiered {
 		base := s
@@ -217,12 +194,11 @@ func (s Strategy) String() string {
 // and B-tree degrees are optional suffixes: "block-cas" means
 // "block-cas-1024", "btree" uses the default degree.
 //
-// Wrapper prefixes nest in one canonical order — plan+ outermost, then
-// binned+, then hot+, then the base strategy — mirroring the runtime
-// layering (the plan records through the bins, the bins flush through
-// the hot cache, the cache falls through to the strategy). Any other
-// order, and any doubled wrapper, is rejected with an error rather than
-// silently reassociated.
+// Wrapper prefixes nest in one canonical order — plan+ outermost, hot+
+// directly on the base strategy — mirroring the runtime layering (the
+// plan records through the hot cache, the cache falls through to the
+// strategy). Any other order, and any doubled wrapper, is rejected with
+// an error rather than silently reassociated.
 func ParseStrategy(s string) (Strategy, error) {
 	if rest, ok := strings.CutPrefix(s, "plan+"); ok {
 		inner, err := ParseStrategy(rest)
@@ -234,26 +210,13 @@ func ParseStrategy(s string) (Strategy, error) {
 		}
 		return Planned(inner), nil
 	}
-	if rest, ok := strings.CutPrefix(s, "binned+"); ok {
-		inner, err := ParseStrategy(rest)
-		if err != nil {
-			return Strategy{}, err
-		}
-		if inner.planned {
-			return Strategy{}, fmt.Errorf("spray: strategy %q nests plan+ inside binned+ — the plan wrapper must be outermost (write %q)", s, "plan+binned+...")
-		}
-		if inner.binned {
-			return Strategy{}, fmt.Errorf("spray: strategy %q stacks the binned wrapper twice", s)
-		}
-		return Binned(inner), nil
-	}
 	if rest, ok := strings.CutPrefix(s, "hot+"); ok {
 		inner, err := ParseStrategy(rest)
 		if err != nil {
 			return Strategy{}, err
 		}
-		if inner.planned || inner.binned {
-			return Strategy{}, fmt.Errorf("spray: strategy %q nests a wrapper inside hot+ — the hot-set cache wraps the base strategy directly (write %q or %q)", s, "binned+hot+...", "plan+hot+...")
+		if inner.planned {
+			return Strategy{}, fmt.Errorf("spray: strategy %q nests a wrapper inside hot+ — the hot-set cache wraps the base strategy directly (write %q)", s, "plan+hot+...")
 		}
 		if inner.tiered {
 			return Strategy{}, fmt.Errorf("spray: strategy %q stacks the hot wrapper twice", s)

@@ -8,8 +8,8 @@ import (
 // TestWrapperNestingRoundTrip drives every valid wrapper nesting over
 // every base strategy through parse -> print -> parse and requires a
 // fixed point: the printed form re-parses to an identical Strategy value
-// and prints identically again (the canonical plan+ > binned+ > hot+ >
-// base order).
+// and prints identically again (the canonical plan+ > hot+ > base
+// order).
 func TestWrapperNestingRoundTrip(t *testing.T) {
 	wrap := func(prefix string) []string {
 		var out []string
@@ -20,8 +20,7 @@ func TestWrapperNestingRoundTrip(t *testing.T) {
 	}
 	var names []string
 	for _, prefix := range []string{
-		"", "hot+", "binned+", "plan+",
-		"binned+hot+", "plan+hot+", "plan+binned+", "plan+binned+hot+",
+		"", "hot+", "plan+", "plan+hot+",
 	} {
 		names = append(names, wrap(prefix)...)
 	}
@@ -56,9 +55,8 @@ func TestWrapperSettersMatchParsedForm(t *testing.T) {
 	}{
 		{"hot+atomic", Tiered(Atomic())},
 		{"hot+keeper", Tiered(Keeper())},
-		{"binned+hot+atomic", Binned(Tiered(Atomic()))},
 		{"plan+hot+compensated", Planned(Tiered(Compensated()))},
-		{"plan+binned+hot+block-cas-1024", Planned(Binned(Tiered(BlockCAS(0))))},
+		{"plan+hot+block-cas-1024", Planned(Tiered(BlockCAS(0)))},
 	}
 	for _, c := range cases {
 		parsed, err := ParseStrategy(c.name)
@@ -85,15 +83,11 @@ func TestParseStrategyRejectsInvalidNestings(t *testing.T) {
 		errWant string // substring the error must carry
 	}{
 		{"hot+hot+atomic", "stacks the hot wrapper twice"},
-		{"binned+binned+atomic", "stacks the binned wrapper twice"},
 		{"plan+plan+atomic", "stacks the plan wrapper twice"},
-		{"hot+binned+atomic", "nests a wrapper inside hot+"},
 		{"hot+plan+atomic", "nests a wrapper inside hot+"},
-		{"hot+binned+hot+atomic", "nests a wrapper inside hot+"},
-		{"binned+plan+atomic", "plan wrapper must be outermost"},
-		{"binned+hot+binned+atomic", "nests a wrapper inside hot+"},
-		{"plan+hot+binned+atomic", "nests a wrapper inside hot+"},
-		{"plan+binned+plan+atomic", "plan wrapper must be outermost"},
+		{"hot+plan+hot+atomic", "nests a wrapper inside hot+"},
+		{"plan+hot+plan+atomic", "nests a wrapper inside hot+"},
+		{"binned+atomic", "unknown strategy"},
 		{"hot+", "unknown strategy"},
 		{"hot+nonsense", "unknown strategy"},
 	}
@@ -112,11 +106,11 @@ func TestParseStrategyRejectsInvalidNestings(t *testing.T) {
 // TestParseStrategiesListWithWrappers checks the comma-list entry point
 // used by the CLIs handles wrapped names and propagates nesting errors.
 func TestParseStrategiesListWithWrappers(t *testing.T) {
-	sts, err := ParseStrategies("atomic, hot+atomic, binned+hot+keeper")
+	sts, err := ParseStrategies("atomic, hot+atomic, plan+hot+keeper")
 	if err != nil {
 		t.Fatalf("ParseStrategies: %v", err)
 	}
-	want := []Strategy{Atomic(), Tiered(Atomic()), Binned(Tiered(Keeper()))}
+	want := []Strategy{Atomic(), Tiered(Atomic()), Planned(Tiered(Keeper()))}
 	if len(sts) != len(want) {
 		t.Fatalf("got %d strategies, want %d", len(sts), len(want))
 	}
@@ -125,7 +119,7 @@ func TestParseStrategiesListWithWrappers(t *testing.T) {
 			t.Errorf("entry %d: %v, want %v", i, sts[i], want[i])
 		}
 	}
-	if _, err := ParseStrategies("atomic, hot+binned+atomic"); err == nil {
+	if _, err := ParseStrategies("atomic, hot+plan+atomic"); err == nil {
 		t.Error("invalid nesting inside a list was accepted")
 	}
 }

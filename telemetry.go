@@ -124,8 +124,8 @@ type HotspotProfile = hotspot.Profile
 
 // EnableHotspot attaches the index-space contention profiler to the
 // instrumented reducer: conflict events (CAS retries, block claim
-// contention, keeper foreign submissions, bin flush collisions, plan
-// exchange merges) are attributed to cache-line-granularity regions of
+// contention, keeper foreign submissions, plan exchange merges, tiered
+// cold misses) are attributed to cache-line-granularity regions of
 // the n-element output array through per-thread count-min sketches.
 // n must be the length of the reduced array. A zero Options.LineElems
 // defaults to the instrumented element type's cache-line width

@@ -8,7 +8,7 @@ type hotSeeder interface {
 	LineElems() int
 }
 
-// findSeeder unwraps binned+/plan+ layers (via their Inner exposure)
+// findSeeder unwraps a plan+ layer (via its Inner exposure)
 // until it reaches a tiered reducer, or reports that r has none.
 func findSeeder[T Value](r Reducer[T]) (hotSeeder, bool) {
 	for {
@@ -26,8 +26,8 @@ func findSeeder[T Value](r Reducer[T]) (hotSeeder, bool) {
 // SeedHotLines installs a profile-guided promotion set into the tiered
 // layer of r: the given cache-line numbers (hottest first, in units of
 // the tiered layer's LineElems) are promoted into every thread's replica
-// cache at the start of each subsequent region. Wrapper layers
-// (binned+hot+..., plan+hot+...) are traversed automatically. Returns
+// cache at the start of each subsequent region. A plan+ layer
+// (plan+hot+...) is traversed automatically. Returns
 // false when r has no tiered layer. Call between regions only.
 func SeedHotLines[T Value](r Reducer[T], lines []int) bool {
 	s, ok := findSeeder(r)
