@@ -33,8 +33,8 @@ test:
 # bce-audit enforces the bounds-check-elimination contract of the hot
 # accumulate kernels. Building through cmd/spraybulk instantiates the
 # generic strategies so -d=ssa/check_bce reports real codegen, then:
-#   - internal/core/kernels.go (shared contiguous/masked accumulate
-#     kernels used by dense, block, keeper and the tiered merge)
+#   - internal/core/kernels.go (shared contiguous accumulate kernels
+#     used by dense, block and keeper)
 #     must contain NO bounds checks at all;
 #   - internal/plan/exec.go (plan executor loops) must contain no
 #     slice-prologue checks — only the documented irreducible
@@ -63,25 +63,24 @@ race:
 # profiler (sketches, top-K tables, heatmap exposition), the
 # diagnostics subsystem (Prometheus rendering,
 # flight recorder, anomaly detector, event rings, spraymon digestion),
-# the tiered hot/cold wrapper (replica caches, online promotion,
-# eviction flushes), and the work-stealing loop runtime (chunk deques,
-# the stealer protocol, the adaptive grain controller).
+# and the work-stealing loop runtime (chunk deques, the stealer
+# protocol, the adaptive grain controller).
 race-telemetry:
-	$(GO) test -race -short -run 'Telemetry|Instrument|Timing|WorkerPanic|Concurrent|Trace|Hist|Sample|Latency|Mailbox|Drain|Prom|Flight|Anomal|Event|Monitor|Diagnostics|ServeMetrics|CASStorm|ObsOff|Hotspot|Hotline|Heatmap|Tiered|HotSet|Promot|Steal|Deque|Grain' ./internal/telemetry ./internal/par ./internal/core ./internal/memtrack ./internal/experiments ./internal/obs ./internal/hotspot .
+	$(GO) test -race -short -run 'Telemetry|Instrument|Timing|WorkerPanic|Concurrent|Trace|Hist|Sample|Latency|Mailbox|Drain|Prom|Flight|Anomal|Event|Monitor|Diagnostics|ServeMetrics|CASStorm|ObsOff|Hotspot|Hotline|Heatmap|Steal|Deque|Grain' ./internal/telemetry ./internal/par ./internal/core ./internal/memtrack ./internal/experiments ./internal/obs ./internal/hotspot .
 
-# bench-smoke proves the bulk and tiered benchmarks run end to end
+# bench-smoke proves the bulk benchmarks run end to end
 # without timing anything meaningful (100 iterations per case).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkBulk|BenchmarkTieredZipf' -benchtime 100x .
+	$(GO) test -run '^$$' -bench 'BenchmarkBulk' -benchtime 100x .
 
 # overhead-smoke asserts the telemetry-off budget (the gated accessor must
-# stay within 2% of an ungated replica — including the tiered hot path),
+# stay within 2% of an ungated replica),
 # the contention-profiler budget
 # (the profiler-enabled keeper accessor must stay within 2% of the
 # detached one, and the disabled paths must not allocate), the
-# zero-steady-state-alloc contract of the off paths (tiered hot/cold
-# routing included, plus the steal-schedule counters: a steal loop with
-# telemetry off must not allocate in steady state), and exercises the
+# zero-steady-state-alloc contract of the off paths (the steal-schedule
+# counters included: a steal loop with telemetry off must not allocate
+# in steady state), and exercises the
 # off/on conv benchmarks once — the telemetry layer, the profiler and
 # the diagnostics layer (flight recorder + anomaly poller) on top.
 overhead-smoke:
@@ -127,13 +126,7 @@ bench-observability:
 # plan amortization sweep gates with the wide step-change band
 # (-min-rel 0.75): its points are whole cold solves (record+compile
 # inside the measurement) run few times per sample, so run-to-run swing
-# is far above the conv points'. The tiered leg records the hot/cold
-# replication comparison (Zipfian skewed conv scatter + banded transpose
-# product, hot+atomic vs its inner strategies) as
-# results/BENCH_tiered.json — a tracked artifact, like BENCH_sched.json —
-# and gates it with the same wide band: its points are short
-# Scatter-heavy regions on an oversubscribed container, so run-to-run
-# swing matches the plan points', not the conv points'.
+# is far above the conv points'.
 bench-gate:
 	$(GO) run ./cmd/benchdiff -expect-regression -q cmd/benchdiff/testdata/base.json cmd/benchdiff/testdata/regressed.json
 	@mkdir -p results
@@ -141,8 +134,6 @@ bench-gate:
 	$(GO) run ./cmd/benchdiff -gate -sigma 4 -min-rel 0.25 results/bench_baseline.json results/BENCH_gate.json
 	$(GO) run ./cmd/spraybulk -n 60000 -max-threads 2 -repeats 2 -min-time 10ms -workload plan -plan-iters 1,4,16 -json results/BENCH_plan.json
 	$(GO) run ./cmd/benchdiff -gate -sigma 4 -min-rel 0.75 results/bench_baseline.json results/BENCH_plan.json
-	$(GO) run ./cmd/spraybulk -n 100000 -max-threads 2 -repeats 3 -min-time 20ms -workload tiered -json results/BENCH_tiered.json
-	$(GO) run ./cmd/benchdiff -gate -sigma 4 -min-rel 0.75 results/bench_baseline.json results/BENCH_tiered.json
 
 # bench-imbalance records the loop-schedule comparison on the
 # imbalanced workloads (front-loaded skew, skewed banded transpose
@@ -151,7 +142,7 @@ bench-gate:
 # claims with cmd/schedcheck: steal beats dynamic everywhere, beats
 # guided in geomean across the imbalanced legs, and stays within
 # tolerance of static on the uniform control. results/BENCH_sched.json
-# is a tracked artifact like BENCH_tiered.json. The legs are short
+# is a tracked artifact. The legs are short
 # regions on an oversubscribed 1-core container, so the regression band
 # is the wide step-change band (-min-rel 0.75), and schedcheck's uniform
 # tolerance is wide (see that command's comment for the keeper
@@ -165,8 +156,7 @@ bench-imbalance:
 
 # clean removes the transient benchmark artifacts (root-level BENCH
 # files are stale copies from before results/ became canonical); the
-# tracked results/BENCH_tiered.json and results/BENCH_sched.json
-# references are left alone.
+# tracked results/BENCH_sched.json reference is left alone.
 clean:
 	rm -f BENCH_*.json
 	rm -f results/BENCH_bulk.json results/BENCH_observability.json results/BENCH_gate.json results/BENCH_plan.json

@@ -385,55 +385,6 @@ func BenchmarkBulkTMV(b *testing.B) {
 	}
 }
 
-// BenchmarkTieredZipf measures the hot/cold tiered wrapper on a
-// Zipfian-skewed scatter stream: a few hundred hot lines carry ~99% of
-// the updates, so hot+atomic should replace the atomic CAS per hot
-// update with a plain replica-cache add while the cold tail stays on
-// atomics. One untimed warmup region lets online promotion fill the
-// cache before measurement. cmd/spraybulk -workload tiered runs the
-// same comparison at larger scale and emits results/BENCH_tiered.json.
-func BenchmarkTieredZipf(b *testing.B) {
-	const n, tiles, batch = 1 << 20, 256, 1024
-	rng := rand.New(rand.NewSource(7))
-	z := rand.NewZipf(rng, 1.6, 1, n-1)
-	idx := make([][]int32, tiles)
-	vals := make([][]float32, tiles)
-	for t := range idx {
-		idx[t] = make([]int32, batch)
-		vals[t] = make([]float32, batch)
-		for j := range idx[t] {
-			idx[t][j] = int32(z.Uint64())
-			vals[t][j] = rng.Float32()
-		}
-	}
-	out := make([]float32, n)
-	run := func(team *spray.Team, r spray.Reducer[float32]) {
-		spray.RunReduction(team, r, 0, tiles, spray.StaticChunk(16),
-			func(acc spray.Accessor[float32], from, to int) {
-				bk := spray.Bulk(acc)
-				for t := from; t < to; t++ {
-					bk.Scatter(idx[t], vals[t])
-				}
-			})
-	}
-	for _, st := range []spray.Strategy{spray.Atomic(), spray.Tiered(spray.Atomic()), spray.Keeper()} {
-		for _, th := range benchThreads {
-			b.Run(fmt.Sprintf("%s/threads=%d", st, th), func(b *testing.B) {
-				team := spray.NewTeam(th)
-				defer team.Close()
-				r := spray.New(st, out, th)
-				run(team, r)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					run(team, r)
-				}
-				b.SetBytes(int64(tiles * batch * 4))
-				b.ReportMetric(float64(r.PeakBytes()), "strategy-bytes")
-			})
-		}
-	}
-}
-
 // planBenchIters are the amortization points: 1 shows the plan's
 // record+compile overhead in full, 8 is where the executor should
 // already win, 32 approaches the steady-state executor speed.

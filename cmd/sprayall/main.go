@@ -37,7 +37,7 @@ func main() {
 		schedule   = flag.String("schedule", "", "loop schedule for the conv and tmv figure sweeps (spray.ParseSchedule form, e.g. steal or dynamic:8; default static) — rerun with different values to compare schedules across the bench CSVs")
 		metrics    = flag.Bool("metrics", false, "instrument the conv figures: print a telemetry region report per measured point (stderr) and attach counters to CSV-adjacent data")
 		tracePath  = flag.String("trace", "", "record span timelines for the conv figures and write them as Chrome trace-event JSON to this path")
-		hotPath    = flag.String("hotprofile", "", "attach the index-space contention profiler to the conv, plan and tiered sweeps and write the sampled hot-line profiles (JSON array) to this path")
+		hotPath    = flag.String("hotprofile", "", "attach the index-space contention profiler to the conv and plan sweeps and write the sampled hot-line profiles (JSON array) to this path")
 		prof       cliutil.Profiling
 		met        cliutil.Metrics
 	)
@@ -143,17 +143,6 @@ func main() {
 	pcfg.OnReport = onReport
 	pcfg.HotProfile = onHot
 	emit(experiments.PlanTMV(pcfg), *outdir, "plan_tmv.csv")
-
-	// Tiered hot/cold replication: the Zipfian skewed scatter stream and
-	// the banded transpose product, hot+atomic vs its inner strategies.
-	tcfg := experiments.DefaultTieredConfig(convN/4, *maxThreads)
-	tcfg.Runner = runner
-	tcfg.Telemetry = *metrics
-	tcfg.OnReport = onReport
-	tcfg.Trace = sink
-	tcfg.HotProfile = onHot
-	emit(experiments.TieredConv(tcfg), *outdir, "tiered_conv.csv")
-	emit(experiments.TieredTMV(tcfg), *outdir, "tiered_tmv.csv")
 
 	if *hotPath != "" {
 		fatalIf(hotspot.WriteProfiles(*hotPath, hotProfiles))

@@ -15,13 +15,6 @@
 //
 //	spraybulk -workload plan -json results/BENCH_plan.json
 //
-// The tiered workload drives a Zipfian-skewed scatter stream and a
-// banded transpose-matrix-vector product through the hot/cold tiered
-// wrapper (spray.Tiered) against its inner strategies, with a
-// profile-guided SeedFromProfile warmup before each measured point:
-//
-//	spraybulk -workload tiered -json results/BENCH_tiered.json
-//
 // -hotprofile attaches the index-space contention profiler to every
 // measured configuration and writes the sampled hot-line profiles as a
 // JSON array; feed the file to sprayadvise -profile for a
@@ -55,7 +48,7 @@ func main() {
 		maxThreads = flag.Int("max-threads", 8, "largest thread count in the sweep")
 		threads    = flag.String("threads", "", "explicit comma-separated thread counts (overrides -max-threads)")
 		strategies = flag.String("strategies", "", "comma-separated strategy list (default: dense,atomic,block-cas,keeper)")
-		workload   = flag.String("workload", "all", "workload to run: conv, tmv, plan, tiered, imbalance or all")
+		workload   = flag.String("workload", "all", "workload to run: conv, tmv, plan, imbalance or all")
 		schedules  = flag.String("schedule", "", "comma-separated loop schedules for the imbalance workload's comparison series (spray.ParseSchedule forms, e.g. static,dynamic:8,guided,steal:4096; default static,dynamic,guided,steal)")
 		planIters  = flag.String("plan-iters", "", "comma-separated applications-per-solve counts for the plan workload (default: 1,2,4,8,16,32)")
 		repeats    = flag.Int("repeats", 3, "samples per configuration")
@@ -110,13 +103,6 @@ func main() {
 		cfg.Strategies = sts
 	}
 
-	// The tiered hot/cold comparison defaults to the replication-vs-inner
-	// strategy set unless the user picked strategies explicitly.
-	tcfg := cfg
-	if *strategies == "" {
-		tcfg.Strategies = experiments.DefaultTieredConfig(*n, *maxThreads).Strategies
-	}
-
 	// The imbalance workload compares loop schedules instead of
 	// strategies: -schedule picks its series, -strategies (first entry)
 	// the reduction everything accumulates through.
@@ -159,8 +145,6 @@ func main() {
 		results = append(results, experiments.BulkTMV(cfg))
 	case "plan":
 		results = append(results, experiments.PlanTMV(pcfg))
-	case "tiered":
-		results = append(results, experiments.TieredConv(tcfg), experiments.TieredTMV(tcfg))
 	case "imbalance":
 		lres, err := experiments.ImbalanceLulesh(icfg)
 		fatalIf(err)
@@ -172,11 +156,10 @@ func main() {
 		fatalIf(err)
 		results = append(results, experiments.BulkConv(cfg), experiments.BulkTMV(cfg),
 			experiments.PlanTMV(pcfg),
-			experiments.TieredConv(tcfg), experiments.TieredTMV(tcfg),
 			experiments.ImbalanceSkew(icfg), experiments.ImbalanceTMV(icfg),
 			lres, experiments.ImbalanceConv(icfg))
 	default:
-		fatalIf(fmt.Errorf("unknown workload %q (want conv, tmv, plan, tiered, imbalance or all)", *workload))
+		fatalIf(fmt.Errorf("unknown workload %q (want conv, tmv, plan, imbalance or all)", *workload))
 	}
 	for _, res := range results {
 		res.WriteTable(os.Stdout)

@@ -52,8 +52,6 @@ func ProfileConcentration(p *hotspot.Profile, k int) float64 {
 //   - retries/claims, tiny rate     -> atomic (contention negligible)
 //   - conflicts but an empty sketch -> rate-based fallback: the profile
 //     has no spatial signal, so "diffuse" cannot be concluded
-//   - sharply concentrated hot set  -> tiered: replicate exactly the hot
-//     lines per thread (hot+atomic), atomics absorb the cold tail
 //   - concentrated hot lines        -> adaptive: privatize just the hot
 //     blocks
 //   - diffuse heavy contention      -> private blocks, no synchronization
@@ -110,10 +108,6 @@ func RecommendFromProfile(p *hotspot.Profile) Recommendation {
 		}
 		return Recommendation{spray.Auto(spray.DefaultBlockSize),
 			"conflicts were recorded but the sketch captured no hot lines — no spatial signal, the adaptive strategy discovers hot blocks at run time"}
-	}
-	if conc >= 0.85 {
-		return Recommendation{spray.Tiered(spray.Atomic()), fmt.Sprintf(
-			"the top 16 hot lines carry %.0f%% of the sampled conflict weight — hot-set replication caches exactly those lines per thread and the cold tail stays on atomics", 100*conc)}
 	}
 	if conc >= 0.5 {
 		return Recommendation{spray.Auto(spray.DefaultBlockSize), fmt.Sprintf(

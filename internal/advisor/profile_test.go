@@ -205,7 +205,7 @@ func TestRecommendFromProfileLadder(t *testing.T) {
 			p.Sampled["cas-retry"] = 1000
 			p.Lines = []hotspot.LineStat{{Line: 7, Index: 56, Count: 900}}
 			return p
-		}(), spray.Tiered(spray.Atomic()), "hot-set replication"},
+		}(), spray.Auto(spray.DefaultBlockSize), "hot lines"},
 		{"moderately concentrated retries", func() *hotspot.Profile {
 			p := base()
 			p.Totals["cas-retry"] = p.Updates / 4

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"spray/internal/num"
@@ -146,15 +145,6 @@ func TestBulkBitwiseSingleThread(t *testing.T) {
 		}
 	}
 	for name, mk := range strategies(n) {
-		if strings.HasPrefix(name, "hot+") {
-			// The tiered wrapper's documented relaxation: bulk and
-			// element-wise drives feed the online promotion tracker
-			// differently, so the hot/cold routing (and hence association
-			// order) only matches under a fixed promotion schedule.
-			// TestTieredBulkSeededBitwiseMatchesElementwise proves the
-			// bitwise form with seeding and online rebalancing disabled.
-			continue
-		}
 		outEach := make([]float64, n)
 		outBulk := make([]float64, n)
 

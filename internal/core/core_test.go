@@ -91,18 +91,6 @@ func strategies(n int) map[string]func(out []float64, threads int) Reducer[float
 		"ordered":     func(o []float64, th int) Reducer[float64] { return NewOrdered(o, th) },
 		"auto-64":     func(o []float64, th int) Reducer[float64] { return NewAdaptive(o, th, 64) },
 		"compensated": func(o []float64, th int) Reducer[float64] { return NewCompensated(o, th) },
-		// Tiny cache + hair-trigger rebalancing: promotion and eviction
-		// fire constantly mid-region, so every shared correctness test
-		// exercises the tiered flush paths, not just the steady state.
-		"hot+atomic": func(o []float64, th int) Reducer[float64] {
-			return NewTiered(NewAtomic(o, th), o, TieredConfig{Slots: 8, RebalanceEvery: 64, PromoteMin: 1})
-		},
-		"hot+keeper": func(o []float64, th int) Reducer[float64] {
-			return NewTiered(NewKeeper(o, th), o, TieredConfig{Slots: 8, RebalanceEvery: 64, PromoteMin: 1})
-		},
-		"hot+compensated": func(o []float64, th int) Reducer[float64] {
-			return NewTiered(NewCompensated(o, th), o, TieredConfig{Slots: 8, RebalanceEvery: 64, PromoteMin: 1})
-		},
 	}
 	for _, bs := range []int{16, 64, 1024} {
 		bs := bs

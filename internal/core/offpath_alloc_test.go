@@ -39,30 +39,6 @@ func TestOffPathSamplingGateNoAlloc(t *testing.T) {
 		})
 	})
 
-	t.Run("tiered-atomic", func(t *testing.T) {
-		// The hot-set cache: hot hits, cold misses (tracker recording),
-		// online rebalancing, promotion and eviction flushes must all run
-		// on the fixed per-thread storage — the aggressive config forces
-		// promotion/eviction churn inside the measured closure.
-		out := make([]float64, n)
-		tr := NewTiered(NewAtomic(out, 1), out,
-			TieredConfig{Slots: 8, RebalanceEvery: 64, PromoteMin: 1})
-		tr.SeedHotLines([]int{0, 1})
-		acc := AsBulk(tr.Private(0))
-		le := tr.LineElems()
-		spread := make([]int32, len(vals))
-		for j := range spread {
-			spread[j] = int32((j * 997) % n) // mostly cold traffic
-		}
-		assertNoAllocs(t, func() {
-			acc.Add(3, 1)          // hot hit (line 0)
-			acc.Add(le+1, 1)       // hot hit (line 1)
-			acc.AddN(64*le, vals)  // cold run -> tracker + rebalance trigger
-			acc.Scatter(idx, vals) // mixed batch
-			acc.Scatter(spread, vals)
-		})
-	})
-
 	t.Run("keeper-mailbox", func(t *testing.T) {
 		// Publication threshold crossed every run, parcels recycled by the
 		// owner's mid-region drain: the whole mailbox loop must be

@@ -42,37 +42,6 @@ func TestFig11ProducesAllSeries(t *testing.T) {
 	}
 }
 
-func TestTieredExperimentSeries(t *testing.T) {
-	cfg := DefaultTieredConfig(4_000, 2)
-	cfg.Runner = quickRunner()
-	cfg.Strategies = []spray.Strategy{spray.Atomic(), spray.Tiered(spray.Atomic())}
-	cfg.Telemetry = true
-	for name, res := range map[string]*bench.Result{
-		"conv": TieredConv(cfg),
-		"tmv":  TieredTMV(cfg),
-	} {
-		if res.Baseline <= 0 {
-			t.Errorf("%s: no sequential baseline", name)
-		}
-		if len(res.Series) != len(cfg.Strategies) {
-			t.Fatalf("%s: series %d, want %d", name, len(res.Series), len(cfg.Strategies))
-		}
-		for _, s := range res.Series {
-			if len(s.Points) != len(cfg.Threads) {
-				t.Errorf("%s/%s: %d points, want %d", name, s.Name, len(s.Points), len(cfg.Threads))
-			}
-			for _, p := range s.Points {
-				if p.Time.Mean <= 0 {
-					t.Errorf("%s/%s x=%v: non-positive time", name, s.Name, p.X)
-				}
-				if strings.HasPrefix(s.Name, "hot+") && p.Counters["tiered-hot-hits"] == 0 {
-					t.Errorf("%s/%s x=%v: tiered run absorbed no hot hits", name, s.Name, p.X)
-				}
-			}
-		}
-	}
-}
-
 func TestFig12PicksBestPerStrategy(t *testing.T) {
 	cfg := quickConvConfig()
 	res := Fig12(cfg)

@@ -1,8 +1,8 @@
 // Package hotspot is the index-space contention profiler: an
 // always-cheap, sampling-based attribution of conflict events (CAS
-// retries, block claim contention, keeper foreign submissions, bin
-// flush collisions, plan exchange merges) to cache-line-granularity
-// regions of the output array.
+// retries, block claim contention, keeper foreign submissions, plan
+// exchange merges) to cache-line-granularity regions of the output
+// array.
 //
 // The aggregate counters of internal/telemetry answer "how much
 // contention"; this package answers "where". Each thread records into
@@ -52,18 +52,13 @@ const (
 	// PlanExchange: a compiled plan merged an exchange-list entry, i.e.
 	// an index owned by another thread at execute time.
 	PlanExchange
-	// TieredCold: an update fell through a tiered wrapper's hot-set
-	// replica cache to the inner strategy. The tiered reducer's online
-	// promotion policy reads this class back out of its own shards, so
-	// the lines that miss most become the next promotion candidates.
-	TieredCold
 
 	// NumClasses is the number of conflict classes.
-	NumClasses = 5
+	NumClasses = 4
 )
 
 var classNames = [NumClasses]string{
-	"cas-retry", "block-contention", "keeper-foreign", "plan-exchange", "tiered-cold",
+	"cas-retry", "block-contention", "keeper-foreign", "plan-exchange",
 }
 
 // String returns the stable kebab-case name used in exports.
@@ -395,67 +390,4 @@ func (s *Shard) offer(ln, est uint64) {
 			s.topMin = second
 		}
 	}
-}
-
-// LineCount is one (line, sampled weight) pair from a shard's candidate
-// table — the stable unit of the promotion query API.
-type LineCount struct {
-	// Line is the cache-line number (element index >> log2(LineElems)).
-	Line int
-	// Count is the line's sampled conflict weight at its last table
-	// update. Multiply by the profiler's SamplePeriod (and any caller-side
-	// decimation) for an unbiased estimate of the true event count.
-	Count uint64
-}
-
-// TopCandidates copies the shard's current top-K candidate table into
-// dst, sorted by Count descending then Line ascending, and returns the
-// number of entries written (bounded by len(dst) and the table size).
-// It allocates nothing, so a thread may poll its own shard from a hot
-// loop's rebalance points; nil shards report zero candidates.
-func (s *Shard) TopCandidates(dst []LineCount) int {
-	if s == nil || len(dst) == 0 {
-		return 0
-	}
-	n := 0
-	for k := range s.top {
-		e := s.top[k].Load()
-		if e == 0 {
-			continue
-		}
-		c := LineCount{Line: int(e >> 32), Count: e & 0xffffffff}
-		// Insertion sort into dst: the table is at most a few dozen
-		// entries, and dst is usually the same size, so this stays cheap
-		// and allocation-free.
-		i := n
-		if i == len(dst) {
-			i--
-			last := dst[i]
-			if c.Count < last.Count || (c.Count == last.Count && c.Line >= last.Line) {
-				continue
-			}
-		} else {
-			n++
-		}
-		for i > 0 {
-			p := dst[i-1]
-			if p.Count > c.Count || (p.Count == c.Count && p.Line < c.Line) {
-				break
-			}
-			dst[i] = p
-			i--
-		}
-		dst[i] = c
-	}
-	return n
-}
-
-// Estimate returns the count-min estimate of line ln's sampled weight in
-// this shard — an upper bound on the true per-shard sampled weight, and
-// the incumbent-heat side of the tiered promotion hysteresis. Nil-safe.
-func (s *Shard) Estimate(ln int) uint64 {
-	if s == nil || ln < 0 {
-		return 0
-	}
-	return s.estimate(uint64(ln))
 }

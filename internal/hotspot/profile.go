@@ -152,22 +152,6 @@ func sortLines(ls []LineStat) {
 	})
 }
 
-// PromotionSet returns the line numbers of the profile's top k hot
-// lines, hottest first — the stable profile-guided seeding input for the
-// tiered reducer's replica cache. Lines with the same count come out in
-// ascending line order, so the set is deterministic for a given profile.
-func (p *Profile) PromotionSet(k int) []int {
-	ls := p.TopLines(k)
-	if len(ls) == 0 {
-		return nil
-	}
-	lines := make([]int, len(ls))
-	for i := range ls {
-		lines[i] = ls[i].Line
-	}
-	return lines
-}
-
 // TopLines returns the first k hot lines (fewer when the profile has
 // fewer).
 func (p *Profile) TopLines(k int) []LineStat {

@@ -16,7 +16,7 @@ import (
 // into seed chunks and pushed far-end-first so LIFO pops walk the slice
 // in ascending order. A member that has work therefore touches the same
 // indices, in the same order, as it would under schedule(static) — which
-// is what keeps keeper/tiered ownership locality intact when the load is
+// is what keeps the keeper's ownership locality intact when the load is
 // balanced and stealing never triggers. Only when a member runs dry does
 // it become a thief: it probes victims nearest-first by team-ring
 // distance (left/right order per distance decided by a per-member

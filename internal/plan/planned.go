@@ -543,9 +543,9 @@ func (r *Planned[T]) DrainMid(tid int) {
 }
 
 // Instrument attaches (nil: detaches) the recorder to the wrapper and
-// the inner reducer, like the hot-set wrapper: plan counters (plan-hits,
-// plan-misses, plan-invalidations, plan-compile-latency) appear next to
-// the inner strategy's own in one report.
+// the inner reducer: plan counters (plan-hits, plan-misses,
+// plan-invalidations, plan-compile-latency) appear next to the inner
+// strategy's own in one report.
 func (r *Planned[T]) Instrument(rec *telemetry.Recorder) {
 	r.tel = rec
 	if in, ok := r.inner.(core.Instrumentable); ok {
@@ -559,10 +559,6 @@ func (r *Planned[T]) Bytes() int64     { return r.inner.Bytes() + r.mem.Bytes() 
 func (r *Planned[T]) PeakBytes() int64 { return r.inner.PeakBytes() + r.mem.Peak() }
 func (r *Planned[T]) Name() string     { return "plan+" + r.inner.Name() }
 func (r *Planned[T]) Threads() int     { return r.threads }
-
-// Inner exposes the wrapped reducer (observability for tests and the
-// experiment harness).
-func (r *Planned[T]) Inner() core.Reducer[T] { return r.inner }
 
 // Stats is a point-in-time view of the wrapper lifecycle, for tests and
 // the experiment harness. The telemetry counters carry the same numbers

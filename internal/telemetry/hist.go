@@ -37,12 +37,6 @@ const (
 	// inspection cost the amortization curve divides away directly
 	// readable from the histogram.
 	PlanCompile
-	// EvictFlush is the latency of flushing one evicted hot-set slot's
-	// partial through the tiered wrapper's inner strategy — the price the
-	// online promotion policy pays to displace a cooled line. Sampled
-	// 1-in-N evictions.
-	EvictFlush
-
 	// NumHKinds sizes histogram shard blocks and snapshots.
 	NumHKinds
 )
@@ -52,7 +46,6 @@ var hkindNames = [NumHKinds]string{
 	ClaimLatency: "claim-latency",
 	KeeperDwell:  "keeper-dwell",
 	PlanCompile:  "plan-compile-latency",
-	EvictFlush:   "evict-flush-latency",
 }
 
 // String returns the stable external name of the latency kind.

@@ -87,20 +87,6 @@ const (
 	// from the recorded index pattern (unseen index, changed op stream)
 	// and fell back to record mode for the next region.
 	PlanInvalidations
-	// TieredHotHits counts updates absorbed by the tiered wrapper's
-	// per-thread hot-set replica cache (no inner-strategy work at all).
-	TieredHotHits
-	// TieredColdMisses counts updates that fell through the tiered
-	// wrapper's replica cache to the inner (cold-tail) strategy.
-	TieredColdMisses
-	// TieredPromotions counts cache lines installed into a tiered hot
-	// set — profile-guided seeds at region start plus online promotions
-	// at rebalance points.
-	TieredPromotions
-	// TieredEvictions counts hot-set slots whose accumulated partial was
-	// flushed through the inner strategy because a hotter line displaced
-	// the incumbent (the correctness-preserving demotion path).
-	TieredEvictions
 	// Steals counts successful work-steal acquisitions under the steal
 	// schedule: chunks a dry member took FIFO from a victim's deque.
 	Steals
@@ -148,10 +134,6 @@ var kindNames = [NumKinds]string{
 	PlanHits:          "plan-hits",
 	PlanMisses:        "plan-misses",
 	PlanInvalidations: "plan-invalidations",
-	TieredHotHits:     "tiered-hot-hits",
-	TieredColdMisses:  "tiered-cold-misses",
-	TieredPromotions:  "tiered-promotions",
-	TieredEvictions:   "tiered-evictions",
 	Steals:            "steals",
 	StealFails:        "steal-fails",
 	StealIters:        "steal-iters",

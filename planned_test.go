@@ -93,7 +93,7 @@ func TestPlannedStrategyEndToEnd(t *testing.T) {
 
 // TestPlannedStrategyParsePrint pins the "plan+" naming contract.
 func TestPlannedStrategyParsePrint(t *testing.T) {
-	for _, name := range []string{"plan+atomic", "plan+keeper", "plan+hot+atomic", "plan+block-cas-512", "plan+compensated"} {
+	for _, name := range []string{"plan+atomic", "plan+keeper", "plan+block-cas-512", "plan+compensated"} {
 		st, err := ParseStrategy(name)
 		if err != nil {
 			t.Fatalf("ParseStrategy(%q): %v", name, err)
@@ -101,9 +101,6 @@ func TestPlannedStrategyParsePrint(t *testing.T) {
 		if st.String() != name {
 			t.Errorf("ParseStrategy(%q).String() = %q", name, st.String())
 		}
-	}
-	if st := Planned(Tiered(Keeper())); st.String() != "plan+hot+keeper" {
-		t.Errorf("Planned(Tiered(Keeper())) prints %q", st)
 	}
 	if _, err := ParseStrategy("plan+plan+atomic"); err == nil {
 		t.Error("double plan+ wrapper parsed")

@@ -123,7 +123,7 @@ func Dynamic(c int) Schedule { return par.Dynamic(c) }
 func Guided(c int) Schedule { return par.Guided(c) }
 
 // Steal returns the work-stealing schedule: members start on their
-// static slices (preserving keeper/tiered ownership locality) and steal
+// static slices (preserving keeper's ownership locality) and steal
 // chunks from the nearest busy member when they run dry, with adaptive
 // grain sizing. grain <= 0 selects an automatic minimum grain.
 func Steal(grain int) Schedule { return par.Steal(grain) }
@@ -146,11 +146,6 @@ func ParallelFor(t *Team, lo, hi int, s Schedule, body func(tid, from, to int)) 
 // no adapter layer between the public API and the implementation.
 func New[T Value](st Strategy, out []T, threads int) Reducer[T] {
 	r := newInner(st, out, threads)
-	if st.tiered {
-		// The hot-set cache sits directly on the base strategy, so a plan
-		// layer above it records the temperature-split stream.
-		r = core.NewTiered(r, out, core.TieredConfig{})
-	}
 	if st.planned {
 		// The plan wrapper goes outermost so record mode captures the
 		// stream exactly as the inner stack would consume it. A

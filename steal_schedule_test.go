@@ -1,12 +1,12 @@
 package spray
 
 // Strategy-hook audit for the steal schedule: every reducer hook that
-// fires at chunk boundaries — the keeper's mid-region mailbox drain, the
-// tiered wrapper's rebalance, the plan wrapper's tape verification — was designed against the monotone
-// per-member chunk order of the static/dynamic/guided schedules. The
-// steal schedule delivers chunks out of order and moves them between
-// members mid-region, so these tests force heavy stealing (a stalled
-// member) and pin exact results plus the hook counters.
+// fires at chunk boundaries — the keeper's mid-region mailbox drain and
+// the plan wrapper's tape verification — was designed against the
+// monotone per-member chunk order of the static/dynamic/guided
+// schedules. The steal schedule delivers chunks out of order and moves
+// them between members mid-region, so these tests force heavy stealing
+// (a stalled member) and pin exact results plus the hook counters.
 
 import (
 	"sync/atomic"
@@ -48,9 +48,7 @@ func stealBody(in []float64, n int, stall time.Duration) (func(acc Accessor[floa
 func TestStealScheduleAllStrategies(t *testing.T) {
 	const n = 30_000
 	in := testInput(n)
-	all := append(AllStrategies(),
-		Tiered(Atomic()), Tiered(Keeper()),
-		Planned(Atomic()), Planned(Keeper()))
+	all := append(AllStrategies(), Planned(Atomic()), Planned(Keeper()))
 	for _, st := range all {
 		for _, threads := range []int{1, 4} {
 			team := NewTeam(threads)
@@ -104,51 +102,6 @@ func TestStealKeeperMidDrain(t *testing.T) {
 	}
 	if ci := rep.ChunkImbalance(); ci < 1 {
 		t.Errorf("chunk imbalance %.2f, want >= 1 with per-thread chunk counts", ci)
-	}
-}
-
-// TestStealTieredRebalance drives the tiered hot/cold wrapper under
-// forced stealing across several regions with a heavily skewed stream,
-// so online promotion and rebalance run at out-of-order chunk
-// boundaries. Results stay exact and the replica cache still absorbs
-// traffic.
-func TestStealTieredRebalance(t *testing.T) {
-	const n, threads, regions = 60_000, 4, 4
-	in := testInput(n)
-	team := NewTeam(threads)
-	defer team.Close()
-	out := make([]float64, n)
-	want := make([]float64, n)
-	r := New(Tiered(Atomic()), out, threads)
-	ins := Instrument(team, r)
-	defer ins.Detach()
-	var stalled atomic.Bool
-	for reg := 0; reg < regions; reg++ {
-		stalled.Store(false)
-		RunReduction(team, r, 0, n, Steal(64),
-			func(acc Accessor[float64], from, to int) {
-				if !stalled.Swap(true) {
-					time.Sleep(2 * time.Millisecond)
-				}
-				for i := from; i < to; i++ {
-					acc.Add(i%64, in[i]) // hot set: the first cache line or two
-					acc.Add(i, in[i])
-				}
-			})
-		for i := 0; i < n; i++ {
-			want[i%64] += in[i]
-			want[i] += in[i]
-		}
-		if d := num.MaxAbsDiff(out, want); d != 0 {
-			t.Fatalf("region %d: tiered under steal diff %v", reg, d)
-		}
-	}
-	rep := ins.Report()
-	if rep.Counters.Get(telemetry.Steals) == 0 {
-		t.Error("no steals recorded")
-	}
-	if rep.Counters.Get(telemetry.TieredHotHits) == 0 {
-		t.Error("tiered replica cache absorbed nothing under steal")
 	}
 }
 

@@ -36,7 +36,6 @@ const DefaultBlockSize = 1024
 type Strategy struct {
 	kind    kind
 	param   int // block size for block-*, node degree for btree
-	tiered  bool
 	planned bool
 }
 
@@ -106,34 +105,13 @@ func Compensated() Strategy { return Strategy{kind: kindCompensated} }
 // the recorded pattern (unseen index, reshaped batch, missing thread) is
 // completed correctly, invalidates the plan, and triggers a re-record;
 // repeated invalidation degrades to a permanent passthrough. Prints and
-// parses as "plan+<inner>", e.g. "plan+atomic" or "plan+hot+keeper".
+// parses as "plan+<inner>", e.g. "plan+atomic" or "plan+keeper".
 // Worth it for iterative workloads (tMV time loops, FEM assembly, conv
 // backprop) that replay one index pattern many times — the inspection
 // cost amortizes like MKL's inspector/executor; a pattern that changes
 // every region only pays recording overhead.
 func Planned(inner Strategy) Strategy {
 	inner.planned = true
-	return inner
-}
-
-// Tiered wraps any base strategy with per-thread hot-set replica caches:
-// the cache lines a thread collides on most accumulate in private
-// direct-mapped storage (no synchronization), everything else falls
-// through to the inner strategy. The hot set is seeded from a previous
-// region's contention profile (SeedFromProfile/SeedHotLines) and adapts
-// online — cold-miss tracking promotes lines at chunk boundaries, with
-// displaced partials flushed through the inner strategy so correctness
-// never depends on the cache. Prints and parses as "hot+<inner>", e.g.
-// "hot+atomic". Worth it when contention is concentrated on a hot set
-// too large to ignore but far smaller than the array (Zipfian/skewed
-// access); a uniform access pattern only pays the tag lookup. Nesting:
-// hot+ applies directly to a base strategy — "plan+hot+atomic" is valid,
-// "hot+plan+..." is not (the cache belongs below the plan layer, next to
-// the strategy). The wrapper pre-sums same-line contributions in arrival
-// order, so results can differ in the last bits from the element-wise
-// order (exact for integer-valued data).
-func Tiered(inner Strategy) Strategy {
-	inner.tiered = true
 	return inner
 }
 
@@ -145,17 +123,12 @@ func defaultBlock(b int) int {
 }
 
 // String renders the strategy in the paper's naming convention, e.g.
-// "block-cas-1024" or "plan+hot+atomic".
+// "block-cas-1024" or "plan+atomic".
 func (s Strategy) String() string {
 	if s.planned {
 		base := s
 		base.planned = false
 		return "plan+" + base.String()
-	}
-	if s.tiered {
-		base := s
-		base.tiered = false
-		return "hot+" + base.String()
 	}
 	switch s.kind {
 	case kindBuiltin:
@@ -194,11 +167,9 @@ func (s Strategy) String() string {
 // and B-tree degrees are optional suffixes: "block-cas" means
 // "block-cas-1024", "btree" uses the default degree.
 //
-// Wrapper prefixes nest in one canonical order — plan+ outermost, hot+
-// directly on the base strategy — mirroring the runtime layering (the
-// plan records through the hot cache, the cache falls through to the
-// strategy). Any other order, and any doubled wrapper, is rejected with
-// an error rather than silently reassociated.
+// plan+ is the only wrapper prefix and applies once, directly on a base
+// strategy; a doubled wrapper is rejected with an error rather than
+// silently collapsed.
 func ParseStrategy(s string) (Strategy, error) {
 	if rest, ok := strings.CutPrefix(s, "plan+"); ok {
 		inner, err := ParseStrategy(rest)
@@ -209,19 +180,6 @@ func ParseStrategy(s string) (Strategy, error) {
 			return Strategy{}, fmt.Errorf("spray: strategy %q stacks the plan wrapper twice", s)
 		}
 		return Planned(inner), nil
-	}
-	if rest, ok := strings.CutPrefix(s, "hot+"); ok {
-		inner, err := ParseStrategy(rest)
-		if err != nil {
-			return Strategy{}, err
-		}
-		if inner.planned {
-			return Strategy{}, fmt.Errorf("spray: strategy %q nests a wrapper inside hot+ — the hot-set cache wraps the base strategy directly (write %q)", s, "plan+hot+...")
-		}
-		if inner.tiered {
-			return Strategy{}, fmt.Errorf("spray: strategy %q stacks the hot wrapper twice", s)
-		}
-		return Tiered(inner), nil
 	}
 	switch s {
 	case "omp-builtin", "builtin", "omp":

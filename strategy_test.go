@@ -8,8 +8,7 @@ import (
 // TestWrapperNestingRoundTrip drives every valid wrapper nesting over
 // every base strategy through parse -> print -> parse and requires a
 // fixed point: the printed form re-parses to an identical Strategy value
-// and prints identically again (the canonical plan+ > hot+ > base
-// order).
+// and prints identically again.
 func TestWrapperNestingRoundTrip(t *testing.T) {
 	wrap := func(prefix string) []string {
 		var out []string
@@ -20,7 +19,7 @@ func TestWrapperNestingRoundTrip(t *testing.T) {
 	}
 	var names []string
 	for _, prefix := range []string{
-		"", "hot+", "plan+", "plan+hot+",
+		"", "plan+",
 	} {
 		names = append(names, wrap(prefix)...)
 	}
@@ -53,10 +52,8 @@ func TestWrapperSettersMatchParsedForm(t *testing.T) {
 		name string
 		st   Strategy
 	}{
-		{"hot+atomic", Tiered(Atomic())},
-		{"hot+keeper", Tiered(Keeper())},
-		{"plan+hot+compensated", Planned(Tiered(Compensated()))},
-		{"plan+hot+block-cas-1024", Planned(Tiered(BlockCAS(0)))},
+		{"plan+compensated", Planned(Compensated())},
+		{"plan+block-cas-1024", Planned(BlockCAS(0))},
 	}
 	for _, c := range cases {
 		parsed, err := ParseStrategy(c.name)
@@ -82,14 +79,10 @@ func TestParseStrategyRejectsInvalidNestings(t *testing.T) {
 		name    string
 		errWant string // substring the error must carry
 	}{
-		{"hot+hot+atomic", "stacks the hot wrapper twice"},
 		{"plan+plan+atomic", "stacks the plan wrapper twice"},
-		{"hot+plan+atomic", "nests a wrapper inside hot+"},
-		{"hot+plan+hot+atomic", "nests a wrapper inside hot+"},
-		{"plan+hot+plan+atomic", "nests a wrapper inside hot+"},
 		{"binned+atomic", "unknown strategy"},
-		{"hot+", "unknown strategy"},
-		{"hot+nonsense", "unknown strategy"},
+		{"hot+atomic", "unknown strategy"},
+		{"plan+hot+atomic", "unknown strategy"},
 	}
 	for _, c := range cases {
 		st, err := ParseStrategy(c.name)
@@ -106,11 +99,11 @@ func TestParseStrategyRejectsInvalidNestings(t *testing.T) {
 // TestParseStrategiesListWithWrappers checks the comma-list entry point
 // used by the CLIs handles wrapped names and propagates nesting errors.
 func TestParseStrategiesListWithWrappers(t *testing.T) {
-	sts, err := ParseStrategies("atomic, hot+atomic, plan+hot+keeper")
+	sts, err := ParseStrategies("atomic, plan+keeper")
 	if err != nil {
 		t.Fatalf("ParseStrategies: %v", err)
 	}
-	want := []Strategy{Atomic(), Tiered(Atomic()), Planned(Tiered(Keeper()))}
+	want := []Strategy{Atomic(), Planned(Keeper())}
 	if len(sts) != len(want) {
 		t.Fatalf("got %d strategies, want %d", len(sts), len(want))
 	}
@@ -119,7 +112,7 @@ func TestParseStrategiesListWithWrappers(t *testing.T) {
 			t.Errorf("entry %d: %v, want %v", i, sts[i], want[i])
 		}
 	}
-	if _, err := ParseStrategies("atomic, hot+plan+atomic"); err == nil {
+	if _, err := ParseStrategies("atomic, plan+plan+atomic"); err == nil {
 		t.Error("invalid nesting inside a list was accepted")
 	}
 }

@@ -124,9 +124,9 @@ type HotspotProfile = hotspot.Profile
 
 // EnableHotspot attaches the index-space contention profiler to the
 // instrumented reducer: conflict events (CAS retries, block claim
-// contention, keeper foreign submissions, plan exchange merges, tiered
-// cold misses) are attributed to cache-line-granularity regions of
-// the n-element output array through per-thread count-min sketches.
+// contention, keeper foreign submissions, plan exchange merges) are
+// attributed to cache-line-granularity regions of the n-element output
+// array through per-thread count-min sketches.
 // n must be the length of the reduced array. A zero Options.LineElems
 // defaults to the instrumented element type's cache-line width
 // (64/sizeof(T)). Idempotent: a second call returns the existing
@@ -158,11 +158,7 @@ func (in *Instrumentation) HotspotProfile() *HotspotProfile {
 	}
 	p := in.hot.Snapshot()
 	snap := in.rec.Snapshot()
-	// Tiered hot hits never reach the inner strategy's Updates/BulkElems
-	// counters, so they are added back to keep the denominator equal to
-	// the number of logical updates the region performed.
-	p.Updates = snap.Get(telemetry.Updates) + snap.Get(telemetry.BulkElems) +
-		snap.Get(telemetry.TieredHotHits)
+	p.Updates = snap.Get(telemetry.Updates) + snap.Get(telemetry.BulkElems)
 	return p
 }
 
