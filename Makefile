@@ -68,10 +68,12 @@ race:
 race-telemetry:
 	$(GO) test -race -short -run 'Telemetry|Instrument|Timing|WorkerPanic|Concurrent|Trace|Hist|Sample|Latency|Mailbox|Drain|Prom|Flight|Anomal|Event|Monitor|Diagnostics|ServeMetrics|CASStorm|ObsOff|Hotspot|Hotline|Heatmap|Steal|Deque|Grain' ./internal/telemetry ./internal/par ./internal/core ./internal/memtrack ./internal/experiments ./internal/obs ./internal/hotspot .
 
-# bench-smoke proves the bulk benchmarks run end to end
-# without timing anything meaningful (100 iterations per case).
+# bench-smoke proves the bulk benchmarks, the Accessor dispatch rungs
+# (dense, atomic, block-cas Add) and the banded transpose-SpMV (the
+# block Scatter path) run end to end without timing anything
+# meaningful (100 iterations per case).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkBulk' -benchtime 100x .
+	$(GO) test -run '^$$' -bench 'BenchmarkBulk|BenchmarkAblationAddDispatch|BenchmarkFig14S3DKT3M2' -benchtime 100x .
 
 # overhead-smoke asserts the telemetry-off budget (the gated accessor must
 # stay within 2% of an ungated replica),

@@ -280,8 +280,9 @@ func BenchmarkAblationFinalize(b *testing.B) {
 // BenchmarkAblationAddDispatch quantifies the cost of the Accessor
 // abstraction itself (the analogue of the paper's observation that SPRAY
 // atomics are 5-10% slower than raw OpenMP atomics when the compiler
-// cannot eliminate the abstraction): raw slice writes vs dense-reducer
-// Adds on one thread.
+// cannot eliminate the abstraction): raw slice writes vs dense-, atomic-
+// and block-cas-reducer Adds on one thread. The block-cas rung walks
+// 1024-element blocks in order, so it measures Add's window hit path.
 func BenchmarkAblationAddDispatch(b *testing.B) {
 	const n = 1 << 16
 	out := make([]float64, n)
@@ -302,6 +303,16 @@ func BenchmarkAblationAddDispatch(b *testing.B) {
 	})
 	b.Run("atomic-accessor-add", func(b *testing.B) {
 		r := spray.New(spray.Atomic(), out, 1)
+		acc := r.Private(0)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			acc.Add(i&(n-1), 1)
+		}
+		acc.Done()
+		r.Finalize()
+	})
+	b.Run("block-cas-accessor-add", func(b *testing.B) {
+		r := spray.New(spray.BlockCAS(1024), out, 1)
 		acc := r.Private(0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

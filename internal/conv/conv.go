@@ -8,6 +8,7 @@ package conv
 
 import (
 	"fmt"
+	"sync"
 
 	"spray"
 	"spray/internal/num"
@@ -54,6 +55,12 @@ func (w Weights3[T]) Backprop(team *spray.Team, st spray.Strategy, seed, out []T
 // enough to stay cache-resident alongside the seed tile.
 const backpropTile = 1024
 
+// backpropTiles recycles RunBackpropSched's per-member tile buffers
+// (*[3][backpropTile]T) across calls: they escape through the AddN
+// interface call, so per-call arrays would be heap-allocated every time.
+// A buffer of another element type is dropped and a fresh one allocated.
+var backpropTiles sync.Pool
+
 // RunBackprop is the reusable-reducer form of Backprop for iterated
 // training-style loops. It drives the reducer through the bulk fast
 // path: each tile of iterations is turned into three scaled value runs
@@ -75,7 +82,12 @@ func (w Weights3[T]) RunBackpropSched(team *spray.Team, r spray.Reducer[T], seed
 	spray.RunReduction(team, r, 1, n-1, sched,
 		func(acc spray.Accessor[T], from, to int) {
 			bacc := spray.Bulk(acc)
-			var vl, vc, vr [backpropTile]T
+			tiles, ok := backpropTiles.Get().(*[3][backpropTile]T)
+			if !ok {
+				tiles = new([3][backpropTile]T)
+			}
+			defer backpropTiles.Put(tiles)
+			vl, vc, vr := &tiles[0], &tiles[1], &tiles[2]
 			for t0 := from; t0 < to; t0 += backpropTile {
 				m := min(backpropTile, to-t0)
 				tile := seed[t0 : t0+m]

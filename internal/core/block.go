@@ -69,7 +69,6 @@ type Block[T num.Float] struct {
 	threads int
 	bsize   int
 	shift   uint
-	mask    int
 	nblocks int
 	mode    BlockMode
 
@@ -99,7 +98,6 @@ func NewBlock[T num.Float](out []T, threads, blockSize int, mode BlockMode) *Blo
 		threads: threads,
 		bsize:   blockSize,
 		shift:   uint(bits.TrailingZeros(uint(blockSize))),
-		mask:    blockSize - 1,
 		nblocks: (len(out) + blockSize - 1) / blockSize,
 		mode:    mode,
 		privs:   make([]blockPrivate[T], threads),
@@ -125,22 +123,42 @@ type privBlock[T num.Float] struct {
 type blockPrivate[T num.Float] struct {
 	parent *Block[T]
 	tid    int32
+	shift  uint  // the parent's, copied so updates never load it through parent
 	view   [][]T // per block: nil until touched, then direct or private storage
-	fallbk []privBlock[T]
-	pool   [][]T // full-size fallback buffers recycled from earlier regions
-	tel    *telemetry.Shard
-	hot    *hotspot.Shard
+	// Add's one-block window: lastView is the resolved storage of the
+	// block starting at element lastBase. Private resets it, because the
+	// view may be a block of out whose ownership Finalize released.
+	lastBase int
+	lastView []T
+	fallbk   []privBlock[T]
+	pool     [][]T // full-size fallback buffers recycled from earlier regions
+	tel      *telemetry.Shard
+	hot      *hotspot.Shard
 }
 
-// Add accumulates into the block view, resolving the block on first touch.
+// Add accumulates into the block view. An index inside the window costs
+// one unsigned range compare, which is also the bounds check; any other
+// index goes through addMiss.
 func (p *blockPrivate[T]) Add(i int, v T) {
 	p.tel.Inc(telemetry.Updates)
-	b := i >> p.parent.shift
+	if k := i - p.lastBase; uint(k) < uint(len(p.lastView)) {
+		p.lastView[k] += v
+		return
+	}
+	p.addMiss(i, v)
+}
+
+// addMiss resolves i's block (first touch claims or privatizes it) and
+// moves Add's window onto it.
+func (p *blockPrivate[T]) addMiss(i int, v T) {
+	b := i >> p.shift
 	view := p.view[b]
 	if view == nil {
-		view = p.acquire(int(b))
+		view = p.acquire(b)
 	}
-	view[i&p.parent.mask] += v
+	p.lastBase = b << p.shift
+	p.lastView = view
+	view[i-p.lastBase] += v
 }
 
 // AddN accumulates a contiguous run, resolving each spanned block once
@@ -149,7 +167,9 @@ func (p *blockPrivate[T]) Add(i int, v T) {
 // element.
 func (p *blockPrivate[T]) AddN(base int, vals []T) {
 	p.tel.IncRun(telemetry.AddNRuns, len(vals))
-	bsize, mask, shift := p.parent.bsize, p.parent.mask, p.parent.shift
+	shift := p.shift
+	bsize := 1 << shift
+	mask := bsize - 1
 	for len(vals) > 0 {
 		b := base >> shift
 		off := base & mask
@@ -167,24 +187,32 @@ func (p *blockPrivate[T]) AddN(base int, vals []T) {
 	}
 }
 
-// Scatter accumulates a gathered batch, caching the resolved block view
-// across consecutive indices that land in the same block (the common case
-// for sorted or clustered index streams).
+// Scatter accumulates a gathered batch as a walk over runs: it resolves
+// the block of the run's first index once, then applies every following
+// index that stays inside that block's view with one unsigned range
+// compare (which is also the bounds check). An index outside the view
+// starts the next run, which may re-enter an earlier block. CSR rows and
+// element connectivity are block-local in practice, so runs are long.
 func (p *blockPrivate[T]) Scatter(idx []int32, vals []T) {
 	p.tel.IncRun(telemetry.ScatterRuns, len(idx))
-	mask, shift := p.parent.mask, p.parent.shift
-	lastB := -1
-	var view []T
-	for j, i := range idx {
-		b := int(i) >> shift
-		if b != lastB {
-			view = p.view[b]
-			if view == nil {
-				view = p.acquire(b)
-			}
-			lastB = b
+	vals = vals[:len(idx)]
+	shift := p.shift
+	for j := 0; j < len(idx); {
+		i := int(idx[j])
+		b := i >> shift
+		view := p.view[b]
+		if view == nil {
+			view = p.acquire(b)
 		}
-		view[int(i)&mask] += vals[j]
+		base := b << shift
+		view[i-base] += vals[j] // checked: panics on an index past len(out)
+		for j++; j < len(idx); j++ {
+			k := int(idx[j]) - base
+			if uint(k) >= uint(len(view)) {
+				break
+			}
+			view[k] += vals[j]
+		}
 	}
 }
 
@@ -267,6 +295,8 @@ func (bl *Block[T]) Private(tid int) Private[T] {
 	}
 	p.parent = bl
 	p.tid = int32(tid)
+	p.shift = bl.shift
+	p.lastBase, p.lastView = 0, nil
 	p.tel = bl.tel.Shard(tid)
 	p.hot = p.tel.Hot()
 	p.fallbk = p.fallbk[:0]

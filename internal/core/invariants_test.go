@@ -7,6 +7,7 @@ import (
 
 	"spray/internal/num"
 	"spray/internal/par"
+	"spray/internal/telemetry"
 )
 
 // Cross-strategy differential property tests: beyond matching the
@@ -160,5 +161,53 @@ func TestPrivateAfterFinalizeStartsClean(t *testing.T) {
 		if sum != total {
 			t.Errorf("%s: sum %v after empty region, want %v", name, sum, total)
 		}
+	}
+}
+
+// TestBlockAddWindowResetByPrivate checks that block Add's one-block
+// window does not outlive its region. In region 1 member 0 claims block
+// B in place. In region 2 member 1 claims B first, so member 0's first
+// Add into B must lose the claim and fall back to a private copy. A
+// window that survived Private would write straight into out while
+// member 1 owns B, and book no fallback.
+func TestBlockAddWindowResetByPrivate(t *testing.T) {
+	const n, bs, threads = 64, 16, 2
+	const i0, i1 = 20, 21 // both in block B = 1
+	out := make([]float64, n)
+	r := NewBlock(out, threads, bs, BlockCAS)
+	rec := telemetry.NewRecorder(r.Name(), threads)
+	r.Instrument(rec)
+	team := par.NewTeam(threads)
+	defer team.Close()
+
+	team.Run(func(tid int) {
+		acc := r.Private(tid)
+		if tid == 0 {
+			acc.Add(i0, 1)
+		}
+		acc.Done()
+	})
+	r.FinalizeWith(team)
+	before := rec.Snapshot().Get(telemetry.BlockFallbacks)
+
+	claimed := make(chan struct{})
+	team.Run(func(tid int) {
+		acc := r.Private(tid)
+		if tid == 1 {
+			acc.Add(i1, 2)
+			close(claimed)
+		} else {
+			<-claimed
+			acc.Add(i0, 4)
+		}
+		acc.Done()
+	})
+	r.FinalizeWith(team)
+
+	if got := rec.Snapshot().Get(telemetry.BlockFallbacks) - before; got != 1 {
+		t.Errorf("region 2 booked %d block fallbacks, want 1", got)
+	}
+	if out[i0] != 5 || out[i1] != 2 {
+		t.Errorf("out[%d], out[%d] = %v, %v, want 5, 2", i0, i1, out[i0], out[i1])
 	}
 }
