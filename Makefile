@@ -69,11 +69,13 @@ race-telemetry:
 	$(GO) test -race -short -run 'Telemetry|Instrument|Timing|WorkerPanic|Concurrent|Trace|Hist|Sample|Latency|Mailbox|Drain|Prom|Flight|Anomal|Event|Monitor|Diagnostics|ServeMetrics|CASStorm|ObsOff|Hotspot|Hotline|Heatmap|Steal|Deque|Grain' ./internal/telemetry ./internal/par ./internal/core ./internal/memtrack ./internal/experiments ./internal/obs ./internal/hotspot .
 
 # bench-smoke proves the bulk benchmarks, the Accessor dispatch rungs
-# (dense, atomic, block-cas Add) and the banded transpose-SpMV (the
-# block Scatter path) run end to end without timing anything
-# meaningful (100 iterations per case).
+# (dense, atomic, block-cas Add), the banded transpose-SpMV (the
+# block Scatter path) and the region dispatch rungs of internal/par
+# (empty-region fork/join, worker start latency) run end to end without
+# timing anything meaningful (100 iterations per case).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkBulk|BenchmarkAblationAddDispatch|BenchmarkFig14S3DKT3M2' -benchtime 100x .
+	$(GO) test -run '^$$' -bench 'BenchmarkRegionJoin|BenchmarkRegionDispatch' -benchtime 100x ./internal/par
 
 # overhead-smoke asserts the telemetry-off budget (the gated accessor must
 # stay within 2% of an ungated replica),
@@ -82,13 +84,13 @@ bench-smoke:
 # detached one, and the disabled paths must not allocate), the
 # zero-steady-state-alloc contract of the off paths (the steal-schedule
 # counters included: a steal loop with telemetry off must not allocate
-# in steady state), and exercises the
+# in steady state; nor may a telemetry-off Team.Run), and exercises the
 # off/on conv benchmarks once — the telemetry layer, the profiler and
 # the diagnostics layer (flight recorder + anomaly poller) on top.
 overhead-smoke:
 	$(GO) test -run TestTelemetryOffOverhead -count 1 ./internal/core
 	$(GO) test -run 'TestHotspotOffOverhead|TestHotspotOffPathNoAlloc|TestHotspotOnPathNoAllocSteadyState|TestOffPathSamplingGateNoAlloc' -count 1 ./internal/core
-	$(GO) test -run TestStealOffPathNoAlloc -count 1 ./internal/par
+	$(GO) test -run 'TestStealOffPathNoAlloc|TestRunNoAlloc' -count 1 ./internal/par
 	$(GO) test -run '^$$' -bench 'BenchmarkTelemetryOverheadConv|BenchmarkObsOffOverheadConv|BenchmarkHotspotOverheadConv' -benchtime 20x .
 
 # hotspot-accuracy proves the sampled count-min/top-K profiler agrees

@@ -238,9 +238,10 @@ type Shard struct {
 	// field (the owning thread is the only mutator).
 	tick [NumClasses]uint32
 
-	// events counts every recording call's weight per class (cheap: one
-	// atomic add, no sketch work). sampled counts only the weight that
-	// made it into the sketch, i.e. the heatmap denominator.
+	// events counts every recording call's weight per class (cheap: an
+	// atomic load and store by the owning thread, no locked add and no
+	// sketch work). sampled counts only the weight that made it into the
+	// sketch, i.e. the heatmap denominator.
 	events  [NumClasses]atomic.Uint64
 	sampled [NumClasses]atomic.Uint64
 
@@ -267,7 +268,7 @@ func (s *Shard) RecordW(c Class, i int, w uint64) {
 	if s == nil || w == 0 {
 		return
 	}
-	s.events[c].Add(w)
+	s.events[c].Store(s.events[c].Load() + w)
 	if s.tickOne(c) {
 		s.bump(c, uint64(i)>>s.shift, w)
 	}
@@ -281,7 +282,7 @@ func (s *Shard) RecordRun(c Class, base, n int) {
 	if s == nil || n <= 0 {
 		return
 	}
-	s.events[c].Add(uint64(n))
+	s.events[c].Store(s.events[c].Load() + uint64(n))
 	if !s.tickOne(c) {
 		return
 	}
@@ -308,7 +309,7 @@ func (s *Shard) RecordBatch(c Class, idx []int32) {
 	if s == nil || len(idx) == 0 {
 		return
 	}
-	s.events[c].Add(uint64(len(idx)))
+	s.events[c].Store(s.events[c].Load() + uint64(len(idx)))
 	if !s.tickOne(c) {
 		return
 	}

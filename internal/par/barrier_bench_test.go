@@ -1,8 +1,10 @@
 package par
 
 import (
+	"sort"
 	"sync"
 	"testing"
+	"time"
 )
 
 // condBarrier is the previous all-under-mutex Barrier implementation,
@@ -108,6 +110,45 @@ func BenchmarkRegionBarrier(b *testing.B) {
 				})
 			}
 		})
+	}
+}
+
+// BenchmarkRegionDispatch measures how late a worker starts a region that
+// is not empty. BenchmarkRegionJoin cannot see this: with an empty body
+// the master blocks at the join at once and the worker runs on the
+// master's core. Here member 0 busy-works ~250 µs per region and the
+// regions are ~300 µs of serial work apart, the shape of a reduction step
+// between sequential phases; the worker records when it starts, relative
+// to Run's entry.
+func BenchmarkRegionDispatch(b *testing.B) {
+	const work, gap = 250 * time.Microsecond, 300 * time.Microsecond
+	team := NewTeam(2)
+	defer team.Close()
+	lat := make([]time.Duration, b.N)
+	var entry time.Time
+	i := 0
+	body := func(tid int) {
+		if tid == 0 {
+			busy(work)
+			return
+		}
+		lat[i] = time.Since(entry)
+	}
+	b.ResetTimer()
+	for i = 0; i < b.N; i++ {
+		busy(gap)
+		entry = time.Now()
+		team.Run(body)
+	}
+	b.StopTimer()
+	sort.Slice(lat, func(a, c int) bool { return lat[a] < lat[c] })
+	b.ReportMetric(float64(lat[len(lat)/2])/1e3, "start-p50-us")
+	b.ReportMetric(float64(lat[len(lat)*9/10])/1e3, "start-p90-us")
+}
+
+// busy keeps the calling goroutine on its core for d.
+func busy(d time.Duration) {
+	for start := time.Now(); time.Since(start) < d; {
 	}
 }
 

@@ -2,6 +2,7 @@ package par
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,6 +46,74 @@ func TestRunAfterClosePanics(t *testing.T) {
 		}
 	}()
 	team.Run(func(int) {})
+}
+
+// memberSlot is one member's record of the region it last ran, padded to
+// a cache line so members do not share one.
+type memberSlot struct {
+	region int
+	runs   int
+	_      [48]byte
+}
+
+// TestRunSeesCurrentBody pins the fork handoff: every member must run the
+// body of the current region, exactly once. Each region is a fresh
+// closure, so a worker that read a stale body would write an old region
+// number. A team larger than GOMAXPROCS never spins for the next region,
+// so the second size covers the park-and-broadcast wake on every region
+// while the first mostly takes the spin return.
+func TestRunSeesCurrentBody(t *testing.T) {
+	for _, n := range []int{2, runtime.GOMAXPROCS(0) + 2} {
+		team := NewTeam(n)
+		slots := make([]memberSlot, n)
+		for k := 1; k <= 2000; k++ {
+			team.Run(func(tid int) {
+				slots[tid].region = k
+				slots[tid].runs++
+			})
+			for tid := range slots {
+				if s := slots[tid]; s.region != k || s.runs != 1 {
+					team.Close()
+					t.Fatalf("n=%d region %d: member %d saw region %d and ran %d times, want region %d once",
+						n, k, tid, s.region, s.runs, k)
+				}
+				slots[tid].runs = 0
+			}
+		}
+		team.Close()
+	}
+}
+
+// TestCloseStopsWorkers checks that Close ends every worker goroutine,
+// including workers still spinning for the next region right after one.
+func TestCloseStopsWorkers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	team := NewTeam(4)
+	team.Run(func(int) {})
+	team.Close()
+	team.Close() // idempotent: no second fork
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 1s after Close, want at most %d", runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestRunNoAlloc holds the region path to zero allocations with telemetry
+// off, on a spinning team and on an oversubscribed (parking) one.
+func TestRunNoAlloc(t *testing.T) {
+	for _, n := range []int{2, runtime.GOMAXPROCS(0) + 2} {
+		team := NewTeam(n)
+		var sink atomic.Int64
+		body := func(tid int) { sink.Add(int64(tid)) }
+		allocs := testing.AllocsPerRun(200, func() { team.Run(body) })
+		team.Close()
+		if allocs != 0 {
+			t.Errorf("n=%d: Run allocated %.1f times per region with telemetry off, want 0", n, allocs)
+		}
+	}
 }
 
 func TestBarrierSynchronizes(t *testing.T) {

@@ -6,6 +6,16 @@
 // barrier. The SPRAY paper's reducers are defined relative to exactly this
 // execution model: a region is executed by a fixed team, each member has a
 // stable integer id, and the reduction merge happens when the region ends.
+//
+// Regions are dispatched on the team barrier's generation word: the fork
+// advances it and the join is one more barrier generation. Between
+// regions a worker spins on the word for up to forkSpin (50 ms) before it
+// parks, as OpenMP runtimes keep their threads spinning between regions
+// (LLVM libomp for KMP_BLOCKTIME, 200 ms). A worker woken from a channel
+// waits for an idle core to steal it, which serialized the first ~70-90 µs
+// of every region on a 2-core host; a spinning worker starts within about
+// 1 µs. The price is one busy core per worker for up to forkSpin after each
+// region; Close stops the workers at once.
 package par
 
 import (
@@ -27,16 +37,29 @@ import (
 // together. A Team is created once and reused across regions; members are
 // identified by a thread id (tid) in [0, Size()). The calling goroutine
 // acts as member 0, mirroring the OpenMP master thread.
+//
+// Run publishes the body in fn and forks by advancing the barrier's
+// generation; the workers, waiting for that generation, read fn and run
+// it. The join is a barrier generation of its own: each worker arrives
+// without waiting and goes straight back to wait for the next fork, and
+// the master waits for the last arrival, as it would on a WaitGroup.
+//
+// A team with more members than GOMAXPROCS (read at NewTeam) does not
+// spin at all, neither workers at the fork nor the master at the join: a
+// spinning member only takes a core from a member that still has work, so
+// they park at once, as libgomp throttles its spin when threads outnumber
+// CPUs.
 type Team struct {
-	size    int
-	jobs    []chan func(tid int)
-	done    sync.WaitGroup
-	barrier *Barrier
-	closed  bool
-	timing  *Timing             // nil = lifecycle timing off (the default)
-	tracer  *telemetry.Tracer   // nil = span tracing off (the default)
-	rec     *telemetry.Recorder // nil = runtime counters off (the default)
-	regions int64               // regions dispatched; numbers trace spans
+	size     int
+	barrier  *Barrier
+	fn       func(tid int) // current region body; nil tells the workers to exit
+	forkWait time.Duration // workers' spin at the fork: forkSpin, or noSpin when oversubscribed
+	joinWait time.Duration // master's spin at the join: barrierSpin only (0), or noSpin when oversubscribed
+	closed   bool
+	timing   *Timing             // nil = lifecycle timing off (the default)
+	tracer   *telemetry.Tracer   // nil = span tracing off (the default)
+	rec      *telemetry.Recorder // nil = runtime counters off (the default)
+	regions  int64               // regions dispatched; numbers trace spans
 
 	panicMu  sync.Mutex
 	panicVal any // first panic raised by a worker during the current region
@@ -112,27 +135,41 @@ func notifyPanic(val any) {
 }
 
 // NewTeam creates a team of n members. n must be positive; n == 1 yields a
-// degenerate team that runs regions on the caller without synchronization.
+// degenerate team that runs regions on the caller.
 func NewTeam(n int) *Team {
 	if n < 1 {
 		panic(fmt.Sprintf("par: team size must be >= 1, got %d", n))
 	}
-	t := &Team{size: n, barrier: NewBarrier(n)}
-	t.jobs = make([]chan func(int), n)
+	t := &Team{size: n, barrier: NewBarrier(n), forkWait: forkSpin}
+	if n > runtime.GOMAXPROCS(0) {
+		t.forkWait, t.joinWait = noSpin, noSpin
+	}
 	for tid := 1; tid < n; tid++ {
-		ch := make(chan func(int))
-		t.jobs[tid] = ch
-		go func(tid int, ch chan func(int)) {
-			// Label the worker for pprof so CPU/goroutine profiles
-			// attribute region work to a stable team member id.
-			pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-				pprof.Labels("par-worker", strconv.Itoa(tid))))
-			for fn := range ch {
-				t.runMember(tid, fn)
-			}
-		}(tid, ch)
+		go t.worker(tid)
 	}
 	return t
+}
+
+// worker is the loop of team member tid: wait for the fork of the next
+// region, run it, and arrive at its join. The release's generation
+// advance orders the master's write of t.fn before the read here, and the
+// arrival orders the region's writes before the master's return.
+func (t *Team) worker(tid int) {
+	// Label the worker for pprof so CPU/goroutine profiles attribute
+	// region work to a stable team member id.
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
+		pprof.Labels("par-worker", strconv.Itoa(tid))))
+	next := uint64(1) // the generation the first fork advances to
+	for {
+		t.barrier.await(next, t.forkWait)
+		fn := t.fn
+		if fn == nil {
+			return
+		}
+		t.runMember(tid, fn)
+		gen, _ := t.barrier.arrive()
+		next = gen + 2 // the join closes gen; the next fork advances once more
+	}
 }
 
 // Default returns a team sized to the machine: GOMAXPROCS members.
@@ -232,10 +269,8 @@ func (t *Team) Run(fn func(tid int)) {
 	if tm != nil {
 		start = time.Now()
 	}
-	t.done.Add(t.size - 1)
-	for tid := 1; tid < t.size; tid++ {
-		t.jobs[tid] <- run
-	}
+	t.fn = run
+	t.barrier.release() // fork
 	var masterPanic any
 	func() {
 		defer func() {
@@ -245,7 +280,9 @@ func (t *Team) Run(fn func(tid int)) {
 		}()
 		run(0)
 	}()
-	t.done.Wait()
+	if gen, closed := t.barrier.arrive(); !closed { // join
+		t.barrier.await(gen+1, t.joinWait)
+	}
 	t.panicMu.Lock()
 	workerPanic := t.panicVal
 	t.panicVal = nil
@@ -301,7 +338,6 @@ func (t *Team) runMember(tid int, fn func(int)) {
 			}
 			t.panicMu.Unlock()
 		}
-		t.done.Done()
 	}()
 	fn(tid)
 }
@@ -334,23 +370,38 @@ func (t *Team) BarrierTid(tid int) {
 	tr.End(tid, telemetry.SpanBarrier)
 }
 
-// Close shuts down the worker goroutines. The team must not be used after
-// Close. Closing is idempotent.
+// Close shuts down the worker goroutines, including any still spinning
+// for the next region. The team must not be used after Close. Closing is
+// idempotent.
 func (t *Team) Close() {
 	if t.closed {
 		return
 	}
 	t.closed = true
-	for tid := 1; tid < t.size; tid++ {
-		close(t.jobs[tid])
-	}
+	t.fn = nil
+	t.barrier.release() // fork an empty region: every worker sees nil and exits
 }
 
-// barrierSpin bounds the busy-wait phase of Barrier.Wait before a waiter
-// parks on the condition variable. Region joins are typically separated
-// by microseconds of loop work, so the closing arrival is usually within
-// this window and waiters never pay the mutex/futex round trip.
+// barrierSpin bounds the busy-wait phase of a barrier wait before the
+// waiter parks on the condition variable. In-region barriers and the join
+// are typically separated by microseconds of loop work, so the closing
+// arrival is usually within this window and waiters never pay the
+// mutex/futex round trip. Spinning longer here costs more than it saves:
+// letting the master spin the fork's budget at the join cut the banded
+// transpose product's speed-up over the sequential loop by 9–22% on a
+// 2-core host.
 const barrierSpin = 256
+
+// forkSpin is how long a worker keeps spinning for the next region before
+// it parks. The gap between regions can be several milliseconds of serial
+// work (≈11 ms in the mini-LULESH time step, over 5 ms between a
+// benchmark's parallel steps), and a parked worker wakes tens of µs late,
+// so the budget covers those gaps with margin while staying under
+// libomp's 200 ms default.
+const forkSpin = 50 * time.Millisecond
+
+// noSpin makes a wait park at once.
+const noSpin time.Duration = -1
 
 // Barrier is a reusable cyclic barrier for n participants. Arrival is a
 // single atomic increment and the wait is spin-then-park: a waiter first
@@ -379,33 +430,70 @@ func NewBarrier(n int) *Barrier {
 
 // Wait blocks until n participants have called Wait for the current
 // generation, then releases them all and resets for the next generation.
+func (b *Barrier) Wait() {
+	if gen, closed := b.arrive(); !closed {
+		b.await(gen+1, 0)
+	}
+}
+
+// arrive counts the caller into the current generation and returns that
+// generation; the n-th arrival closes it and advances the word. A caller
+// may return without waiting for the close (the team's workers do at the
+// join) provided it does not arrive again before the generation closes.
 //
 // The closing participant resets the arrival count before advancing the
-// generation; that is safe because every other participant is still
-// watching the old generation value and cannot re-enter Wait (and touch
-// the count) until the generation changes. The generation is advanced
-// under the parking mutex so a waiter that re-checks it under the same
-// mutex before parking can never miss the broadcast.
-func (b *Barrier) Wait() {
-	gen := b.gen.Load()
-	if int(b.count.Add(1)) == b.n {
-		b.count.Store(0)
-		b.mu.Lock()
-		b.gen.Add(1)
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return
+// generation; that is safe because no other participant of this
+// generation arrives again until the generation changes.
+func (b *Barrier) arrive() (gen uint64, closed bool) {
+	gen = b.gen.Load()
+	if int(b.count.Add(1)) < b.n {
+		return gen, false
 	}
-	for i := 0; i < barrierSpin; i++ {
-		if b.gen.Load() != gen {
+	b.count.Store(0)
+	b.release()
+	return gen, true
+}
+
+// release advances the generation and wakes every parked waiter. The
+// generation is advanced under the parking mutex so a waiter that
+// re-checks it under the same mutex before parking can never miss the
+// broadcast.
+func (b *Barrier) release() {
+	b.mu.Lock()
+	b.gen.Add(1)
+	b.cond.Broadcast()
+	b.mu.Unlock()
+}
+
+// await returns once the generation has reached until. It spins for
+// barrierSpin iterations and, with spin > 0, keeps spinning until spin has
+// elapsed before it parks; with noSpin it parks at once. The spin yields
+// every 32 iterations, so other goroutines and the GC still get the
+// processor, and reads the clock only at those yields.
+func (b *Barrier) await(until uint64, spin time.Duration) {
+	var start time.Time
+	for i := 1; spin != noSpin; i++ {
+		if b.gen.Load() >= until {
 			return
 		}
-		if i%32 == 31 {
-			runtime.Gosched()
+		if i%32 != 0 {
+			continue
+		}
+		runtime.Gosched()
+		if i < barrierSpin {
+			continue
+		}
+		if spin == 0 {
+			break
+		}
+		if start.IsZero() {
+			start = time.Now()
+		} else if time.Since(start) >= spin {
+			break
 		}
 	}
 	b.mu.Lock()
-	for b.gen.Load() == gen {
+	for b.gen.Load() < until {
 		b.cond.Wait()
 	}
 	b.mu.Unlock()
