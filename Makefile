@@ -1,12 +1,11 @@
 GO ?= go
 
-.PHONY: ci build vet lint test race race-telemetry bce-audit bench-smoke overhead-smoke hotspot-accuracy obs-smoke bench-bulk bench-observability bench-gate bench-imbalance clean
+.PHONY: ci build vet lint test race race-telemetry deps-check bce-audit bench-smoke overhead-smoke hotspot-accuracy bench-bulk bench-observability bench-gate bench-imbalance clean
 
 # ci is the tier-1 gate plus cheap benchmark compile-and-run checks,
-# including the telemetry-off overhead guard, the contention-profiler
-# accuracy check, the live-metrics smoke and the benchmark regression
-# gate.
-ci: vet lint build test race race-telemetry bce-audit bench-smoke overhead-smoke hotspot-accuracy obs-smoke bench-gate bench-imbalance
+# including the dependency guard, the telemetry-off overhead guard, the
+# contention-profiler accuracy check and the benchmark regression gate.
+ci: vet lint build test race race-telemetry deps-check bce-audit bench-smoke overhead-smoke hotspot-accuracy bench-gate bench-imbalance
 
 build:
 	$(GO) build ./...
@@ -58,15 +57,23 @@ race:
 
 # race-telemetry focuses the race detector on the observability layer
 # and the concurrent scatter machinery: counter shards, region timing,
-# latency histograms, trace rings, panic wrapping, the export registry,
-# the keeper mailbox publish/drain protocol, the index-space contention
-# profiler (sketches, top-K tables, heatmap exposition), the
-# diagnostics subsystem (Prometheus rendering,
-# flight recorder, anomaly detector, event rings, spraymon digestion),
-# and the work-stealing loop runtime (chunk deques, the stealer
-# protocol, the adaptive grain controller).
+# latency histograms, trace rings, panic wrapping, the keeper mailbox
+# publish/drain protocol, the index-space contention profiler (sketches,
+# top-K tables), and the work-stealing loop runtime (chunk deques, the
+# stealer protocol, the adaptive grain controller).
 race-telemetry:
-	$(GO) test -race -short -run 'Telemetry|Instrument|Timing|WorkerPanic|Concurrent|Trace|Hist|Sample|Latency|Mailbox|Drain|Prom|Flight|Anomal|Event|Monitor|Diagnostics|ServeMetrics|CASStorm|ObsOff|Hotspot|Hotline|Heatmap|Steal|Deque|Grain' ./internal/telemetry ./internal/par ./internal/core ./internal/memtrack ./internal/experiments ./internal/obs ./internal/hotspot .
+	$(GO) test -race -short -run 'Telemetry|Instrument|Timing|WorkerPanic|Concurrent|Trace|Hist|Sample|Latency|Mailbox|Drain|Hotspot|Steal|Deque|Grain' ./internal/telemetry ./internal/par ./internal/core ./internal/memtrack ./internal/experiments ./internal/hotspot .
+
+# deps-check keeps the module free of a live-serving surface: no package
+# may import net/http, expvar or os/signal. Telemetry is read through
+# Report, the bench JSON, -trace and -hotprofile files instead.
+deps-check:
+	@bad=$$($(GO) list -deps ./... | grep -E '^(net/http|expvar|os/signal)$$' || true); \
+	if [ -n "$$bad" ]; then \
+		echo "deps-check: the module imports packages it must not:"; \
+		printf '%s\n' "$$bad"; exit 1; \
+	fi; \
+	echo "deps-check: no net/http, expvar or os/signal in the module's dependencies"
 
 # bench-smoke proves the bulk benchmarks, the Accessor dispatch rungs
 # (dense, atomic, block-cas Add), the banded transpose-SpMV (the
@@ -85,13 +92,13 @@ bench-smoke:
 # zero-steady-state-alloc contract of the off paths (the steal-schedule
 # counters included: a steal loop with telemetry off must not allocate
 # in steady state; nor may a telemetry-off Team.Run), and exercises the
-# off/on conv benchmarks once — the telemetry layer, the profiler and
-# the diagnostics layer (flight recorder + anomaly poller) on top.
+# off/on conv benchmarks once — the telemetry layer and the profiler on
+# top.
 overhead-smoke:
 	$(GO) test -run TestTelemetryOffOverhead -count 1 ./internal/core
 	$(GO) test -run 'TestHotspotOffOverhead|TestHotspotOffPathNoAlloc|TestHotspotOnPathNoAllocSteadyState|TestOffPathSamplingGateNoAlloc' -count 1 ./internal/core
 	$(GO) test -run 'TestStealOffPathNoAlloc|TestRunNoAlloc' -count 1 ./internal/par
-	$(GO) test -run '^$$' -bench 'BenchmarkTelemetryOverheadConv|BenchmarkObsOffOverheadConv|BenchmarkHotspotOverheadConv' -benchtime 20x .
+	$(GO) test -run '^$$' -bench 'BenchmarkTelemetryOverheadConv|BenchmarkHotspotOverheadConv' -benchtime 20x .
 
 # hotspot-accuracy proves the sampled count-min/top-K profiler agrees
 # with the advisor's exact conflict ranking: the sampled top-16 hot
@@ -100,14 +107,6 @@ overhead-smoke:
 # workloads.
 hotspot-accuracy:
 	$(GO) test -run TestHotspotAccuracy -count 1 ./internal/advisor
-
-# obs-smoke is the end-to-end live-metrics check: build spraybulk, start
-# it with -metrics-http on an ephemeral port, scrape /metrics until the
-# diagnostics poller has recorded flight entries, validate the exposition
-# with the in-tree Prometheus parser, check the flight-dump endpoint, and
-# kill the process. Runs as a Go test so it needs no shell plumbing.
-obs-smoke:
-	$(GO) test -run TestObsSmokeSpraybulkScrape -count 1 -v ./internal/obs
 
 # bench-bulk produces the each-vs-bulk comparison tables and
 # results/BENCH_bulk.json at a size that finishes in a few minutes.

@@ -12,10 +12,9 @@
 //	sprayadvise -workload all
 //
 // With -profile, the advisor instead reads sampled hot-line contention
-// profiles (the JSON written by spraybulk/sprayall -hotprofile, or
-// saved from /debug/spray/heatmap) and recommends a strategy per
-// profile from the measured conflict classes, rates, and hot-line
-// concentration:
+// profiles (the JSON written by spraybulk/sprayall -hotprofile) and
+// recommends a strategy per profile from the measured conflict classes,
+// rates, and hot-line concentration:
 //
 //	spraybulk -workload conv -hotprofile hot.json
 //	sprayadvise -profile hot.json

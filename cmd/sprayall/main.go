@@ -39,10 +39,8 @@ func main() {
 		tracePath  = flag.String("trace", "", "record span timelines for the conv figures and write them as Chrome trace-event JSON to this path")
 		hotPath    = flag.String("hotprofile", "", "attach the index-space contention profiler to the conv and plan sweeps and write the sampled hot-line profiles (JSON array) to this path")
 		prof       cliutil.Profiling
-		met        cliutil.Metrics
 	)
 	prof.AddFlags(flag.CommandLine)
-	met.AddFlags(flag.CommandLine)
 	flag.Parse()
 	stopProf, err := prof.Start()
 	fatalIf(err)
@@ -55,11 +53,6 @@ func main() {
 
 	fmt.Printf("spray evaluation — GOMAXPROCS=%d, paper-scale=%v\n\n", runtime.GOMAXPROCS(0), *paper)
 
-	serving, err := met.Start()
-	fatalIf(err)
-	if serving {
-		*metrics = true
-	}
 	var onReport func(label string, rep spray.RegionReport)
 	if *metrics {
 		onReport = func(label string, rep spray.RegionReport) {
@@ -156,7 +149,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote %s (%d timelines, %d dropped events)\n", *tracePath, sink.Len(), sink.Dropped())
 	}
 	fatalIf(stopProf())
-	met.Finish()
 }
 
 // scaleMatrix generates the paper matrix (scale 1) or a proportionally

@@ -58,10 +58,8 @@ func main() {
 		hotPath    = flag.String("hotprofile", "", "attach the index-space contention profiler and write the sampled hot-line profiles (JSON array, one per measured configuration) to this path")
 		tracePath  = flag.String("trace", "", "record span timelines and write them as Chrome trace-event JSON to this path (chrome://tracing, ui.perfetto.dev)")
 		prof       cliutil.Profiling
-		met        cliutil.Metrics
 	)
 	prof.AddFlags(flag.CommandLine)
-	met.AddFlags(flag.CommandLine)
 	flag.Parse()
 	stopProf, err := prof.Start()
 	fatalIf(err)
@@ -72,11 +70,6 @@ func main() {
 	if *tracePath != "" {
 		sink = telemetry.NewTraceSink(0)
 		cfg.Trace = sink
-	}
-	serving, err := met.Start()
-	fatalIf(err)
-	if serving {
-		*metrics = true
 	}
 	if *metrics {
 		cfg.Telemetry = true
@@ -188,7 +181,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote %s (%d timelines, %d dropped events)\n", *tracePath, sink.Len(), sink.Dropped())
 	}
 	fatalIf(stopProf())
-	met.Finish()
 }
 
 func fatalIf(err error) {

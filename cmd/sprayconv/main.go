@@ -35,16 +35,8 @@ func main() {
 		csvPath    = flag.String("csv", "", "also write results as CSV to this path")
 		metrics    = flag.Bool("instrument", false, "attach telemetry to every run: print a region report (counters + latency percentiles) per measured point to stderr")
 		tracePath  = flag.String("trace", "", "record span timelines and write them as Chrome trace-event JSON to this path (chrome://tracing, ui.perfetto.dev)")
-		met        cliutil.Metrics
 	)
-	met.AddFlags(flag.CommandLine)
 	flag.Parse()
-
-	serving, err := met.Start()
-	fatalIf(err)
-	if serving {
-		*metrics = true
-	}
 
 	cfg := experiments.DefaultConvConfig(*n, *maxThreads)
 	cfg.Runner = bench.Runner{Repeats: *repeats, MinTime: *minTime}
@@ -103,7 +95,6 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, ")")
 	}
-	met.Finish()
 }
 
 func writeCSV(res *bench.Result, path string) {

@@ -39,14 +39,8 @@ func main() {
 		verify     = flag.String("verify", "", "run one simulation with this force scheme and print the LULESH-style final output instead of benchmarking")
 		regions    = flag.Int("regions", 1, "material regions for -verify (LULESH 2.0 -r)")
 		cost       = flag.Int("cost", 1, "EOS cost repetition for every 5th region (-verify only, LULESH 2.0 -c)")
-		met        cliutil.Metrics
 	)
-	met.AddFlags(flag.CommandLine)
 	flag.Parse()
-
-	_, err := met.Start()
-	fatalIf(err)
-	defer met.Finish()
 
 	if *verify != "" {
 		runVerify(*verify, *edge, *cycles, *maxThreads, *regions, *cost)

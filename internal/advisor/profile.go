@@ -10,12 +10,12 @@ import (
 
 // Profile-guided recommendation: where Recommend works from an exact
 // offline tape, RecommendFromProfile works from the sampled contention
-// profile a production run exports (spray.Instrumentation.EnableHotspot,
-// /debug/spray/heatmap, or a file saved with -hotprofile). The profile
-// is cheaper and lossier than a tape — it sees conflicts, not the full
-// access pattern — so the rules here key off what the profiler actually
-// measures: the conflict rate, which conflict class dominates, and how
-// spatially concentrated the hot lines are.
+// profile a run records (spray.Instrumentation.EnableHotspot, or a file
+// saved with -hotprofile). The profile is cheaper and lossier than a
+// tape — it sees conflicts, not the full access pattern — so the rules
+// here key off what the profiler actually measures: the conflict rate,
+// which conflict class dominates, and how spatially concentrated the hot
+// lines are.
 
 // ProfileConcentration returns the fraction of the profile's sampled
 // conflict weight captured by its top k hot lines (0 when nothing was

@@ -166,7 +166,7 @@ func TestRecommendFromProfileLadder(t *testing.T) {
 		return &hotspot.Profile{
 			SchemaVersion: hotspot.ProfileSchemaVersion,
 			Strategy:      "keeper", N: 1 << 20, Threads: 8,
-			LineElems: 8, NumLines: 1 << 17, HeatBuckets: 64,
+			LineElems: 8, NumLines: 1 << 17,
 			Updates: 1 << 20,
 			Totals:  map[string]uint64{}, Sampled: map[string]uint64{},
 		}

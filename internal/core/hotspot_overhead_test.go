@@ -163,7 +163,7 @@ func TestHotspotOffPathNoAlloc(t *testing.T) {
 }
 
 // TestHotspotOnPathNoAllocSteadyState: with the profiler enabled, the
-// per-event recording (sketch rows, heat bucket, top-K table) runs on
+// per-event recording (sketch rows, top-K table) runs on
 // storage allocated at New time — steady-state recording must not
 // allocate either.
 func TestHotspotOnPathNoAllocSteadyState(t *testing.T) {

@@ -6,9 +6,9 @@
 //
 // The aggregate counters of internal/telemetry answer "how much
 // contention"; this package answers "where". Each thread records into
-// its own Shard — a small count-min sketch over cache-line numbers, an
-// exact-ish top-K candidate table, and a fixed number of spatial heat
-// buckets — so the hot path takes no locks and allocates nothing.
+// its own Shard — a small count-min sketch over cache-line numbers and
+// an exact-ish top-K candidate table — so the hot path takes no locks
+// and allocates nothing.
 // Recording is decimated: only every SamplePeriod-th recording call
 // pays the sketch update, and a sampled call records its full batch
 // weight, which keeps the per-line expectation unbiased at total/period
@@ -74,7 +74,6 @@ const (
 	DefaultSketchDepth  = 4
 	DefaultSketchWidth  = 1024
 	DefaultTopK         = 32
-	DefaultHeatBuckets  = 64
 	DefaultSamplePeriod = 64
 )
 
@@ -94,9 +93,6 @@ type Options struct {
 	// TopK is the size of the exact hot-line candidate table per shard
 	// (default 32).
 	TopK int
-	// HeatBuckets is the number of equal-width spatial buckets over the
-	// line space (default 64) — the heatmap resolution.
-	HeatBuckets int
 	// SamplePeriod decimates recording calls: only every period-th call
 	// per (shard, class) updates the sketch, recording its full batch
 	// weight. 1 records every call exactly (default 64).
@@ -118,9 +114,6 @@ func (o *Options) fill() {
 	}
 	if o.TopK <= 0 {
 		o.TopK = DefaultTopK
-	}
-	if o.HeatBuckets <= 0 {
-		o.HeatBuckets = DefaultHeatBuckets
 	}
 	if o.SamplePeriod <= 0 {
 		o.SamplePeriod = DefaultSamplePeriod
@@ -174,12 +167,9 @@ func New(strategy string, n, threads int, opts Options) *Profiler {
 		s.logW = logW
 		s.depth = opts.SketchDepth
 		s.period = uint32(opts.SamplePeriod)
-		s.numLines = p.numLines
-		s.nBuckets = opts.HeatBuckets
 		s.shift = p.shift
 		s.cells = make([]atomic.Uint64, opts.SketchDepth*opts.SketchWidth)
 		s.top = make([]atomic.Uint64, opts.TopK)
-		s.heat = make([]atomic.Uint64, opts.HeatBuckets)
 	}
 	return p
 }
@@ -209,9 +199,6 @@ func (p *Profiler) Reset() {
 		for i := range s.top {
 			s.top[i].Store(0)
 		}
-		for i := range s.heat {
-			s.heat[i].Store(0)
-		}
 		for c := range s.events {
 			s.events[c].Store(0)
 			s.sampled[c].Store(0)
@@ -227,12 +214,10 @@ func (p *Profiler) Reset() {
 // (nil = profiling off) and must be called only by the owning thread;
 // the aggregation side reads the atomic cells concurrently.
 type Shard struct {
-	logW     uint
-	depth    int
-	period   uint32
-	shift    uint
-	numLines int
-	nBuckets int
+	logW   uint
+	depth  int
+	period uint32
+	shift  uint
 
 	// tick is the per-class decimation counter — single-writer, plain
 	// field (the owning thread is the only mutator).
@@ -241,13 +226,12 @@ type Shard struct {
 	// events counts every recording call's weight per class (cheap: an
 	// atomic load and store by the owning thread, no locked add and no
 	// sketch work). sampled counts only the weight that made it into the
-	// sketch, i.e. the heatmap denominator.
+	// sketch, i.e. the denominator for the sketch's hot-line counts.
 	events  [NumClasses]atomic.Uint64
 	sampled [NumClasses]atomic.Uint64
 
 	cells []atomic.Uint64 // depth rows x width cells, row-major
 	top   []atomic.Uint64 // packed line<<32 | count candidates
-	heat  []atomic.Uint64 // spatial buckets over line space
 
 	// topMin caches the smallest count currently in the top table
 	// (single-writer, possibly stale-low after an update-in-place of the
@@ -330,8 +314,8 @@ func (s *Shard) tickOne(c Class) bool {
 	return false
 }
 
-// bump adds weight w for line ln: count-min rows, heat bucket, and the
-// top-K candidate table.
+// bump adds weight w for line ln: count-min rows and the top-K
+// candidate table.
 func (s *Shard) bump(c Class, ln, w uint64) {
 	s.sampled[c].Add(w)
 	width := uint64(1) << s.logW
@@ -342,10 +326,6 @@ func (s *Shard) bump(c Class, ln, w uint64) {
 		if v < est {
 			est = v
 		}
-	}
-	if int(ln) < s.numLines && s.nBuckets > 0 {
-		b := int(ln) * s.nBuckets / s.numLines
-		s.heat[b].Add(w)
 	}
 	s.offer(ln, est)
 }

@@ -1,6 +1,7 @@
 package hotspot
 
 import (
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -79,12 +80,12 @@ func TestHotspotExactCounts(t *testing.T) {
 	if prof.Lines[0].Index != 40 {
 		t.Fatalf("top line index = %d, want 40", prof.Lines[0].Index)
 	}
-	var bucketSum uint64
-	for _, b := range prof.Buckets {
-		bucketSum += b
+	var sampledSum uint64
+	for _, w := range prof.Sampled {
+		sampledSum += w
 	}
-	if bucketSum != 14 {
-		t.Fatalf("bucket sum = %d, want 14", bucketSum)
+	if sampledSum != 14 {
+		t.Fatalf("sampled sum = %d, want 14", sampledSum)
 	}
 }
 
@@ -174,10 +175,8 @@ func TestHotspotReset(t *testing.T) {
 	if prof.TotalConflicts() != 0 || len(prof.Lines) != 0 {
 		t.Fatalf("after reset: conflicts=%d lines=%v", prof.TotalConflicts(), prof.Lines)
 	}
-	for _, b := range prof.Buckets {
-		if b != 0 {
-			t.Fatal("heat buckets not cleared")
-		}
+	if len(prof.Sampled) != 0 {
+		t.Fatalf("sampled totals not cleared: %v", prof.Sampled)
 	}
 }
 
@@ -238,6 +237,24 @@ func TestHotspotProfileJSONRoundTrip(t *testing.T) {
 	}
 	if got, err = ReadProfiles(multi); err != nil || len(got) != 2 {
 		t.Fatalf("array round trip: %v %d", err, len(got))
+	}
+
+	// Profiles written before the spatial heat buckets were dropped still
+	// carry heat_buckets and buckets; they must keep loading.
+	legacy := filepath.Join(dir, "legacy.json")
+	const legacyJSON = `{"schema_version":1,"strategy":"keeper","n":1024,"threads":2,
+"line_elems":8,"num_lines":128,"sketch_depth":4,"sketch_width":1024,"sample_period":1,
+"heat_buckets":4,"updates":64,"totals":{"keeper-foreign":6},"sampled":{"keeper-foreign":6},
+"lines":[{"line":3,"index":24,"count":6}],"buckets":[6,0,0,0]}`
+	if err := os.WriteFile(legacy, []byte(legacyJSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err = ReadProfiles(legacy)
+	if err != nil {
+		t.Fatalf("legacy profile: %v", err)
+	}
+	if len(got) != 1 || got[0].TotalConflicts() != 6 || len(got[0].Lines) != 1 || got[0].Lines[0].Line != 3 {
+		t.Fatalf("legacy profile loaded as %+v", got)
 	}
 
 	bad := filepath.Join(dir, "bad.json")

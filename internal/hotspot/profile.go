@@ -25,9 +25,8 @@ type LineStat struct {
 }
 
 // Profile is the serializable aggregate of a Profiler: per-class event
-// totals, the global top-K hot lines, and the spatial heat buckets.
-// It is what the flight recorder snapshots, /debug/spray/heatmap
-// serves, and sprayadvise -profile consumes.
+// totals and the global top-K hot lines. It is what -hotprofile writes
+// and sprayadvise -profile consumes.
 type Profile struct {
 	SchemaVersion int    `json:"schema_version"`
 	Strategy      string `json:"strategy"`
@@ -38,7 +37,6 @@ type Profile struct {
 	SketchDepth   int    `json:"sketch_depth"`
 	SketchWidth   int    `json:"sketch_width"`
 	SamplePeriod  int    `json:"sample_period"`
-	HeatBuckets   int    `json:"heat_buckets"`
 
 	// Updates is the total number of reduction updates observed by the
 	// surrounding telemetry window, when known — the denominator for
@@ -47,17 +45,13 @@ type Profile struct {
 
 	// Totals holds exact per-class event weights (counted on every
 	// recording call); Sampled holds the decimated weight that reached
-	// the sketch (the denominator for Lines and Buckets).
+	// the sketch (the denominator for Lines).
 	Totals  map[string]uint64 `json:"totals"`
 	Sampled map[string]uint64 `json:"sampled"`
 
 	// Lines is the merged top-K hot-line table, sorted by Count
 	// descending then Line ascending.
 	Lines []LineStat `json:"lines"`
-
-	// Buckets is the spatial heatmap: HeatBuckets equal-width buckets
-	// over the line space, in sampled weight units.
-	Buckets []uint64 `json:"buckets"`
 }
 
 // estimate queries one shard's count-min sketch for a line's sampled
@@ -91,10 +85,8 @@ func (p *Profiler) Snapshot() *Profile {
 		SketchDepth:   p.opts.SketchDepth,
 		SketchWidth:   p.opts.SketchWidth,
 		SamplePeriod:  p.opts.SamplePeriod,
-		HeatBuckets:   p.opts.HeatBuckets,
 		Totals:        make(map[string]uint64, NumClasses),
 		Sampled:       make(map[string]uint64, NumClasses),
-		Buckets:       make([]uint64, p.opts.HeatBuckets),
 	}
 	for c := Class(0); c < NumClasses; c++ {
 		var tot, smp uint64
@@ -116,9 +108,6 @@ func (p *Profiler) Snapshot() *Profile {
 			if e := s.top[k].Load(); e != 0 {
 				candidates[e>>32] = struct{}{}
 			}
-		}
-		for b := range s.heat {
-			prof.Buckets[b] += s.heat[b].Load()
 		}
 	}
 	prof.Lines = make([]LineStat, 0, len(candidates))
@@ -192,16 +181,16 @@ func (p *Profile) DominantClass() (string, uint64) {
 }
 
 // Merge folds other into p (same strategy restarted, or several
-// providers of one strategy): totals and buckets add, hot lines merge
+// providers of one strategy): totals add, hot lines merge
 // by line number. Geometry must agree; mismatched profiles are left
 // unmerged and reported.
 func (p *Profile) Merge(other *Profile) error {
 	if p == nil || other == nil {
 		return nil
 	}
-	if p.N != other.N || p.LineElems != other.LineElems || p.HeatBuckets != other.HeatBuckets {
-		return fmt.Errorf("hotspot: cannot merge profiles with different geometry (n %d vs %d, line_elems %d vs %d, heat_buckets %d vs %d)",
-			p.N, other.N, p.LineElems, other.LineElems, p.HeatBuckets, other.HeatBuckets)
+	if p.N != other.N || p.LineElems != other.LineElems {
+		return fmt.Errorf("hotspot: cannot merge profiles with different geometry (n %d vs %d, line_elems %d vs %d)",
+			p.N, other.N, p.LineElems, other.LineElems)
 	}
 	for k, v := range other.Totals {
 		p.Totals[k] += v
@@ -210,9 +199,6 @@ func (p *Profile) Merge(other *Profile) error {
 		p.Sampled[k] += v
 	}
 	p.Updates += other.Updates
-	for b := range other.Buckets {
-		p.Buckets[b] += other.Buckets[b]
-	}
 	byLine := make(map[int]int, len(p.Lines))
 	for i := range p.Lines {
 		byLine[p.Lines[i].Line] = i

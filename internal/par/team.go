@@ -103,37 +103,6 @@ func wrapPanic(tid int, val any) any {
 	return &WorkerPanic{Tid: tid, Value: val, Stack: debug.Stack()}
 }
 
-// panicHook is the process-wide panic observer: when set, Run invokes it
-// with the wrapped *WorkerPanic after the region has joined and before
-// the panic is re-raised on the caller. The flight recorder hooks in
-// here to capture the dying region's final telemetry snapshot while the
-// recorders are still attached. The hook runs on the master goroutine of
-// the panicking team and must not itself panic; it sits entirely on the
-// panic path, so the non-panicking region lifecycle pays nothing for it.
-var panicHook atomic.Pointer[func(*WorkerPanic)]
-
-// SetPanicHook installs (or, with nil, removes) the process-wide worker
-// panic observer. Safe to call concurrently with running regions; at
-// most one hook is active at a time.
-func SetPanicHook(fn func(*WorkerPanic)) {
-	if fn == nil {
-		panicHook.Store(nil)
-		return
-	}
-	panicHook.Store(&fn)
-}
-
-// notifyPanic runs the panic hook, if any, for a wrapped panic value.
-func notifyPanic(val any) {
-	wp, ok := val.(*WorkerPanic)
-	if !ok {
-		return
-	}
-	if fn := panicHook.Load(); fn != nil {
-		(*fn)(wp)
-	}
-}
-
 // NewTeam creates a team of n members. n must be positive; n == 1 yields a
 // degenerate team that runs regions on the caller.
 func NewTeam(n int) *Team {
@@ -295,11 +264,9 @@ func (t *Team) Run(fn func(tid int)) {
 		task.End()
 	}
 	if masterPanic != nil {
-		notifyPanic(masterPanic)
 		panic(masterPanic)
 	}
 	if workerPanic != nil {
-		notifyPanic(workerPanic)
 		panic(workerPanic)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // with Team.SetTiming and read it with Snapshot.
 //
 // All slots are atomic so a snapshot may be taken while a region runs
-// (live metrics export); the per-member busy slots are written once per
+// (a mid-region Report); the per-member busy slots are written once per
 // region by their owning member, so the accumulation itself is
 // contention-free.
 type Timing struct {

@@ -1,8 +1,8 @@
 // Package telemetry is the runtime observability substrate of the SPRAY
 // reproduction: per-thread, cache-line-padded counter shards that the
 // reduction strategies bump from their hot paths, recorders that
-// aggregate the shards per reducer instance, and an expvar-backed export
-// for long-running processes (export.go).
+// aggregate the shards per reducer instance, log-bucketed latency
+// histograms (hist.go) and span tracing (trace.go).
 //
 // Design constraints, in priority order:
 //
@@ -13,9 +13,9 @@
 //  2. Enabled counters must not introduce false sharing between team
 //     members: each thread writes its own shard, padded out to two cache
 //     lines.
-//  3. Snapshots must be safe to take while a region is running (the live
-//     expvar export reads concurrently): slots are atomic, single-writer,
-//     many-reader.
+//  3. Snapshots must be safe to take while a region is running (a
+//     mid-region Report reads concurrently): slots are atomic,
+//     single-writer, many-reader.
 package telemetry
 
 import (
@@ -143,7 +143,7 @@ var kindNames = [NumKinds]string{
 }
 
 // String returns the stable external name of the counter kind (used in
-// tables, JSON and the expvar export).
+// tables and JSON).
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {
 		return kindNames[k]
@@ -179,8 +179,8 @@ const shardPayload = int(NumKinds)*8 + int(NumHKinds)*(HistBuckets+3)*8 + int(Nu
 
 // Shard is one thread's private counter block. All increment methods are
 // nil-safe — a nil *Shard is the "telemetry off" state and costs one
-// branch — and writes are atomic so concurrent snapshot reads (live
-// export) are race-free. Only the owning thread may increment.
+// branch — and writes are atomic so concurrent snapshot reads are
+// race-free. Only the owning thread may increment.
 type Shard struct {
 	c [NumKinds]atomic.Uint64
 	h [NumHKinds]histSlot
@@ -460,46 +460,16 @@ func (s Snapshot) Total() uint64 {
 	return t
 }
 
-// Delta returns the slot-wise difference s - prev, clamping each slot at
-// zero — the per-interval view a scraper or the anomaly detector derives
-// from two successive snapshots of monotonically increasing counters. A
-// slot that went backwards (recorder Reset between the snapshots) reads
-// as zero rather than wrapping.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	var out Snapshot
-	for k, v := range s {
-		if v > prev[k] {
-			out[k] = v - prev[k]
-		}
-	}
-	return out
-}
-
 // Map returns the nonzero counters keyed by their external names — the
-// form embedded in bench points and the expvar export.
+// form embedded in bench points.
 func (s Snapshot) Map() map[string]uint64 {
-	return s.MapInto(make(map[string]uint64))
-}
-
-// MapInto fills dst with the nonzero counters keyed by their external
-// names, removing stale keys, and returns dst (allocating it only when
-// nil). Steady-state callers that reuse dst across snapshots — the 1 Hz
-// expvar scrape path — pay zero allocations once the map has seen every
-// key it will hold: kind names are preallocated package constants and
-// deleting plus re-adding keys reuses a Go map's buckets.
-func (s Snapshot) MapInto(dst map[string]uint64) map[string]uint64 {
-	if dst == nil {
-		dst = make(map[string]uint64)
-	}
+	m := make(map[string]uint64)
 	for k, v := range s {
-		name := Kind(k).String()
 		if v != 0 {
-			dst[name] = v
-		} else {
-			delete(dst, name)
+			m[Kind(k).String()] = v
 		}
 	}
-	return dst
+	return m
 }
 
 // String renders the nonzero counters as "name=value" pairs in kind

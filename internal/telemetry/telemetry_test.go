@@ -1,9 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -120,7 +117,7 @@ func TestConcurrentShardWritesWithLiveSnapshots(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
-	go func() { // live reader, as the expvar export would
+	go func() { // live reader, as a mid-region Report would
 		defer wg.Done()
 		for {
 			select {
@@ -146,88 +143,5 @@ func TestConcurrentShardWritesWithLiveSnapshots(t *testing.T) {
 	wg.Wait()
 	if got := r.Snapshot().Get(Updates); got != threads*per {
 		t.Errorf("updates = %d, want %d", got, threads*per)
-	}
-}
-
-func TestRegistryAndExport(t *testing.T) {
-	r1 := NewRecorder("dense", 2)
-	r2 := NewRecorder("keeper", 2)
-	Register(r1)
-	Register(r1) // idempotent
-	Register(r2)
-	defer Unregister(r1)
-	defer Unregister(r2)
-	n := 0
-	for _, r := range Registered() {
-		if r == r1 || r == r2 {
-			n++
-		}
-	}
-	if n != 2 {
-		t.Fatalf("registry holds %d of the 2 recorders", n)
-	}
-	r1.Shard(0).Add(Updates, 11)
-	r2.Shard(1).Add(KeeperForeign, 7)
-
-	Publish("spray-test")
-	Publish("spray-test") // must not panic (expvar rejects duplicates)
-
-	req := httptest.NewRequest(http.MethodGet, "/debug/vars", nil)
-	rec := httptest.NewRecorder()
-	Handler().ServeHTTP(rec, req)
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal(rec.Body.Bytes(), &vars); err != nil {
-		t.Fatalf("expvar payload: %v", err)
-	}
-	raw, ok := vars["spray-test"]
-	if !ok {
-		t.Fatalf("published variable missing from %v", rec.Body.String())
-	}
-	var view struct {
-		Recorders []struct {
-			Name     string            `json:"name"`
-			Counters map[string]uint64 `json:"counters"`
-		} `json:"recorders"`
-		Totals map[string]uint64 `json:"totals"`
-	}
-	if err := json.Unmarshal(raw, &view); err != nil {
-		t.Fatalf("export value: %v", err)
-	}
-	if view.Totals["updates"] < 11 || view.Totals["keeper-foreign"] < 7 {
-		t.Errorf("totals %v", view.Totals)
-	}
-	found := map[string]bool{}
-	for _, rv := range view.Recorders {
-		found[rv.Name] = true
-	}
-	if !found["dense"] || !found["keeper"] {
-		t.Errorf("recorder views %v", view.Recorders)
-	}
-
-	Unregister(r1)
-	still := false
-	for _, r := range Registered() {
-		if r == r1 {
-			still = true
-		}
-	}
-	if still {
-		t.Error("unregistered recorder still listed")
-	}
-}
-
-func TestServeBindsAndServes(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatalf("serve: %v", err)
-	}
-	defer srv.Close()
-	resp, err := http.Get("http://" + srv.Addr() + "/debug/vars")
-	if err != nil {
-		t.Fatalf("scrape: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("status %d", resp.StatusCode)
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"spray/internal/core"
 	"spray/internal/hotspot"
-	"spray/internal/obs"
 	"spray/internal/par"
 	"spray/internal/telemetry"
 )
@@ -25,16 +24,14 @@ type WorkerPanic = par.WorkerPanic
 // an uninstrumented reducer pays one predictable nil-check branch per
 // counted event and a team without timing dispatches regions untouched.
 //
-// Instrumenting does three things:
+// Instrumenting does two things:
 //
 //   - the reducer's accessors start bumping per-thread, cache-line-padded
 //     counter shards (updates, bulk runs, CAS retries, block claims and
 //     fallbacks, keeper queue traffic, entry counts — whichever events the
 //     strategy has);
 //   - the team gets a region-lifecycle Timing (reused if one is already
-//     attached): wall time per region, per-member busy time, barrier wait;
-//   - the recorder is registered for expvar export — call Publish (and
-//     ServeMetrics) to expose it live on /debug/vars.
+//     attached): wall time per region, per-member busy time, barrier wait.
 //
 // Read the accumulated numbers with Report, zero them with Reset, and call
 // Detach when done. Instrument must not be called while a region is
@@ -68,23 +65,6 @@ func Instrument[T Value](t *Team, r Reducer[T]) *Instrumentation {
 		t.SetTiming(in.tm)
 		in.ownsTiming = true
 	}
-	telemetry.Register(in.rec)
-	in.provID = obs.RegisterProvider(func() obs.Sample {
-		r := in.Report()
-		return obs.Sample{
-			Strategy:    r.Strategy,
-			Threads:     r.Threads,
-			Regions:     r.Regions,
-			Wall:        r.Wall,
-			BarrierWait: r.BarrierWait,
-			Busy:        r.Busy,
-			Bytes:       r.Bytes,
-			PeakBytes:   r.PeakBytes,
-			Counters:    r.Counters,
-			Hists:       r.Latencies,
-			Hot:         in.HotspotProfile(),
-		}
-	})
 	return in
 }
 
@@ -99,7 +79,6 @@ type Instrumentation struct {
 	bytes       func() int64
 	peak        func() int64
 	detach      func()
-	provID      uint64
 	ownsTiming  bool
 	ownsTeamRec bool
 	tracer      *telemetry.Tracer
@@ -110,7 +89,7 @@ type Instrumentation struct {
 
 // HotspotOptions re-exports the contention profiler's configuration;
 // the zero value selects the defaults (4x1024 count-min sketch, top-32
-// candidate table, 64 heat buckets, 1-in-64 sampling).
+// candidate table, 1-in-64 sampling).
 type HotspotOptions = hotspot.Options
 
 // HotspotProfiler re-exports the profiler handle for embedders that
@@ -118,8 +97,7 @@ type HotspotOptions = hotspot.Options
 type HotspotProfiler = hotspot.Profiler
 
 // HotspotProfile re-exports the serializable aggregate the profiler
-// produces — what /debug/spray/heatmap serves and sprayadvise -profile
-// consumes.
+// produces — what -hotprofile writes and sprayadvise -profile consumes.
 type HotspotProfile = hotspot.Profile
 
 // EnableHotspot attaches the index-space contention profiler to the
@@ -241,14 +219,9 @@ func (in *Instrumentation) Reset() {
 	in.hot.Reset()
 }
 
-// Publish exposes the live counters of every instrumented reducer in the
-// process as the expvar variable "spray"; pair with ServeMetrics to scrape
-// them over HTTP. Publishing is idempotent.
-func (in *Instrumentation) Publish() { telemetry.Publish("spray") }
-
 // Detach disconnects the telemetry: the reducer returns to its
-// uninstrumented fast path, the recorder is unregistered from the export
-// registry, and a timing created by Instrument is removed from the team.
+// uninstrumented fast path, and the timing, counter recorder and tracer
+// that this Instrumentation attached are removed from the team.
 // The Instrumentation remains readable (Report keeps returning the final
 // numbers).
 func (in *Instrumentation) Detach() {
@@ -256,8 +229,6 @@ func (in *Instrumentation) Detach() {
 		in.detach()
 		in.detach = nil
 	}
-	telemetry.Unregister(in.rec)
-	obs.UnregisterProvider(in.provID)
 	if in.ownsTiming && in.team.Timing() == in.tm {
 		in.team.SetTiming(nil)
 	}
@@ -267,32 +238,6 @@ func (in *Instrumentation) Detach() {
 	if in.ownsTracer && in.team.Tracer() == in.tracer {
 		in.team.SetTracer(nil)
 	}
-}
-
-// MetricsServer is a running metrics listener: Addr() is the bound
-// address to scrape, Close() shuts it down. ServeMetrics returns one so
-// embedders and tests stop the listener instead of leaking the port.
-type MetricsServer = telemetry.Server
-
-// ServeMetrics starts an HTTP server on addr (e.g. "localhost:6060", or
-// ":0" for an ephemeral port) serving the diagnostics mux:
-//
-//	/metrics             Prometheus text exposition of every
-//	                     instrumented reducer (counters, latency
-//	                     histograms, region gauges)
-//	/debug/vars          expvar JSON (the published recorders)
-//	/debug/spray/flight  flight recorder dump (404 until
-//	                     EnableFlightRecorder)
-//	/debug/spray/events  structured event feed (404 likewise)
-//	/debug/spray/heatmap contention profiles of reducers with the
-//	                     hotspot profiler enabled (404 until
-//	                     EnableHotspot)
-//
-// The server carries read and idle timeouts so a stuck client cannot pin
-// the metrics port, and the returned handle exposes the bound address
-// and a Close method.
-func ServeMetrics(addr string) (*MetricsServer, error) {
-	return telemetry.Serve(addr, obs.Handler())
 }
 
 // RegionReport is one telemetry snapshot for a (team, reducer) pair:

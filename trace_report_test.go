@@ -150,24 +150,26 @@ func TestInstrumentationTraceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestInstrumentDetachCyclesDoNotGrowRegistry is the leak regression:
-// per-benchmark-point Instrument/Detach churn must leave the expvar
-// export registry exactly as it found it.
-func TestInstrumentDetachCyclesDoNotGrowRegistry(t *testing.T) {
+// TestInstrumentDetachCyclesClearTeamAttachments is the leak regression:
+// per-benchmark-point Instrument/Detach churn must hand the team back
+// exactly as it found it, with no timing, tracer or counter recorder
+// left attached to keep a detached reducer's shards alive.
+func TestInstrumentDetachCyclesClearTeamAttachments(t *testing.T) {
 	const n, threads = 256, 2
 	team := spray.NewTeam(threads)
 	defer team.Close()
-	before := len(telemetry.Registered())
 	for i := 0; i < 100; i++ {
 		r := spray.New(spray.Atomic(), make([]float64, n), threads)
 		in := spray.Instrument(team, r)
+		in.EnableTrace(16)
+		if team.Timing() == nil || team.Tracer() == nil || team.Recorder() == nil {
+			t.Fatalf("cycle %d: Instrument did not attach timing, tracer and recorder", i)
+		}
 		crossOwnerRun(team, r, n)
 		in.Detach()
-	}
-	if after := len(telemetry.Registered()); after != before {
-		t.Fatalf("registry grew from %d to %d recorders over 100 cycles", before, after)
-	}
-	if team.Timing() != nil || team.Tracer() != nil {
-		t.Error("detach cycles left team attachments")
+		if team.Timing() != nil || team.Tracer() != nil || team.Recorder() != nil {
+			t.Fatalf("cycle %d: Detach left team attachments (timing %v, tracer %v, recorder %v)",
+				i, team.Timing() != nil, team.Tracer() != nil, team.Recorder() != nil)
+		}
 	}
 }
