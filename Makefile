@@ -34,20 +34,12 @@ test:
 # generic strategies so -d=ssa/check_bce reports real codegen, then:
 #   - internal/core/kernels.go (shared contiguous accumulate kernels
 #     used by dense, block and keeper)
-#     must contain NO bounds checks at all;
-#   - internal/plan/exec.go (plan executor loops) must contain no
-#     slice-prologue checks — only the documented irreducible
-#     data-dependent gathers (IsInBounds) may remain.
+#     must contain NO bounds checks at all.
 bce-audit:
 	@out=$$($(GO) build -gcflags='spray/...=-d=ssa/check_bce' -o /dev/null ./cmd/spraybulk 2>&1); \
 	bad=$$(printf '%s\n' "$$out" | grep -E 'internal/core/kernels\.go.*Found Is' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "bce-audit: bounds checks crept into the audited kernels:"; \
-		printf '%s\n' "$$bad"; exit 1; \
-	fi; \
-	bad=$$(printf '%s\n' "$$out" | grep -E 'internal/plan/exec\.go.*Found IsSliceInBounds' || true); \
-	if [ -n "$$bad" ]; then \
-		echo "bce-audit: slice-prologue checks crept into the plan executor:"; \
 		printf '%s\n' "$$bad"; exit 1; \
 	fi; \
 	echo "bce-audit: hot accumulate kernels are bounds-check-free"
@@ -125,18 +117,12 @@ bench-observability:
 # must be caught), then records a quick sweep and compares it against
 # results/bench_baseline.json. A missing or incomparable baseline is
 # bootstrapped from the fresh run; a same-host regression beyond the
-# (deliberately wide, smoke-scale) noise band fails the target. The
-# plan amortization sweep gates with the wide step-change band
-# (-min-rel 0.75): its points are whole cold solves (record+compile
-# inside the measurement) run few times per sample, so run-to-run swing
-# is far above the conv points'.
+# (deliberately wide, smoke-scale) noise band fails the target.
 bench-gate:
 	$(GO) run ./cmd/benchdiff -expect-regression -q cmd/benchdiff/testdata/base.json cmd/benchdiff/testdata/regressed.json
 	@mkdir -p results
 	$(GO) run ./cmd/spraybulk -n 100000 -max-threads 2 -repeats 2 -min-time 10ms -workload conv -json results/BENCH_gate.json
 	$(GO) run ./cmd/benchdiff -gate -sigma 4 -min-rel 0.25 results/bench_baseline.json results/BENCH_gate.json
-	$(GO) run ./cmd/spraybulk -n 60000 -max-threads 2 -repeats 2 -min-time 10ms -workload plan -plan-iters 1,4,16 -json results/BENCH_plan.json
-	$(GO) run ./cmd/benchdiff -gate -sigma 4 -min-rel 0.75 results/bench_baseline.json results/BENCH_plan.json
 
 # bench-imbalance records the loop-schedule comparison on the
 # imbalanced workloads (front-loaded skew, skewed banded transpose
@@ -162,5 +148,5 @@ bench-imbalance:
 # tracked results/BENCH_sched.json reference is left alone.
 clean:
 	rm -f BENCH_*.json
-	rm -f results/BENCH_bulk.json results/BENCH_observability.json results/BENCH_gate.json results/BENCH_plan.json
+	rm -f results/BENCH_bulk.json results/BENCH_observability.json results/BENCH_gate.json
 	$(GO) clean ./...

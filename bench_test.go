@@ -25,7 +25,6 @@ import (
 	"spray/internal/mkl"
 	"spray/internal/par"
 	"spray/internal/sparse"
-	"spray/internal/telemetry"
 )
 
 var benchThreads = []int{1, 2, 4}
@@ -396,112 +395,6 @@ func BenchmarkBulkTMV(b *testing.B) {
 	}
 }
 
-// planBenchIters are the amortization points: 1 shows the plan's
-// record+compile overhead in full, 8 is where the executor should
-// already win, 32 approaches the steady-state executor speed.
-var planBenchIters = []int{1, 8, 32}
-
-// reportPlanCounters runs one untimed instrumented solve and exports the
-// plan lifecycle as benchmark metrics: hit/miss counts and the median
-// compile latency, so the amortization story is visible next to ns/op.
-func reportPlanCounters(b *testing.B, team *spray.Team, st spray.Strategy, y []float32, a *sparse.CSR[float32], x []float32, iters int) {
-	b.StopTimer()
-	r := spray.New(st, y, team.Size())
-	in := spray.Instrument(team, r)
-	defer in.Detach()
-	sparse.RunTMulVecIters(team, r, a, x, iters)
-	rep := in.Report()
-	b.ReportMetric(float64(rep.Counters.Get(telemetry.PlanHits)), "plan-hits")
-	b.ReportMetric(float64(rep.Counters.Get(telemetry.PlanMisses)), "plan-misses")
-	if h := rep.Latencies[telemetry.PlanCompile]; h.Count > 0 {
-		b.ReportMetric(float64(h.P50().Nanoseconds()), "plan-compile-p50-ns")
-	}
-}
-
-// BenchmarkPlanTMV measures the plan-compiled wrapper's amortization
-// curve on the s3dkt3m2-shaped banded transpose product. One benchmark
-// op is a cold-start solve — fresh strategy state, then iters
-// applications — so ns/op divided by iters falls as the record+compile
-// cost spreads across the solve. mkl-ie is the inspector/executor
-// comparator with its (transpose-building) inspection inside the
-// timing. cmd/spraybulk -workload plan runs the same sweep at larger
-// scale and emits BENCH_plan.json.
-func BenchmarkPlanTMV(b *testing.B) {
-	a := sparse.Banded[float32](9045, 9045, 21, 600, 1)
-	x := make([]float32, a.Rows)
-	for i := range x {
-		x[i] = 1
-	}
-	y := make([]float32, a.Cols)
-	const threads = 4
-	strategies := []spray.Strategy{
-		spray.Atomic(), spray.BlockCAS(1024),
-		spray.Keeper(), spray.Planned(spray.Atomic()), spray.Planned(spray.Keeper()),
-	}
-	for _, st := range strategies {
-		for _, iters := range planBenchIters {
-			b.Run(fmt.Sprintf("%s/iters=%d", st, iters), func(b *testing.B) {
-				team := spray.NewTeam(threads)
-				defer team.Close()
-				var r spray.Reducer[float32]
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					r = spray.New(st, y, threads)
-					sparse.RunTMulVecIters(team, r, a, x, iters)
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(r.PeakBytes()), "strategy-bytes")
-				if st.String() == "plan+atomic" || st.String() == "plan+keeper" {
-					reportPlanCounters(b, team, st, y, a, x, iters)
-				}
-			})
-		}
-	}
-	for _, iters := range planBenchIters {
-		b.Run(fmt.Sprintf("mkl-ie/iters=%d", iters), func(b *testing.B) {
-			team := par.NewTeam(threads)
-			defer team.Close()
-			for i := 0; i < b.N; i++ {
-				h := mkl.NewHandle(a)
-				h.SetHint(mkl.Hint{Transpose: true, Calls: iters})
-				h.Optimize() // inspection inside the timing: the cost being amortized
-				for k := 0; k < iters; k++ {
-					h.ExecuteTMulVec(team, x, y)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkPlanConv runs the amortization comparison on the conv
-// back-propagation workload, whose fixed tile pattern (three AddN runs
-// per tile) the plan executor turns into straight owned-range adds.
-func BenchmarkPlanConv(b *testing.B) {
-	const n = 1 << 20
-	const threads = 4
-	seed := convSeed(n)
-	out := make([]float32, n)
-	for _, st := range []spray.Strategy{
-		spray.Atomic(), spray.Keeper(), spray.Planned(spray.Atomic()), spray.Planned(spray.Keeper()),
-	} {
-		for _, iters := range planBenchIters {
-			b.Run(fmt.Sprintf("%s/iters=%d", st, iters), func(b *testing.B) {
-				team := spray.NewTeam(threads)
-				defer team.Close()
-				var r spray.Reducer[float32]
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					r = spray.New(st, out, threads)
-					benchWeights.RunBackpropIters(team, r, seed, iters)
-				}
-				b.StopTimer()
-				b.SetBytes(int64(n*4) * int64(iters))
-				b.ReportMetric(float64(r.PeakBytes()), "strategy-bytes")
-			})
-		}
-	}
-}
-
 // BenchmarkFemAssembly measures the FEM matrix-assembly workload (the
 // paper's Figure 1 pattern) under the competitive strategies — an
 // extension workload, not a paper figure.
@@ -509,7 +402,7 @@ func BenchmarkFemAssembly(b *testing.B) {
 	m := mesh.NewHex(12, 1)
 	p := fem.NewProblem(m)
 	for _, st := range []spray.Strategy{
-		spray.Atomic(), spray.BlockCAS(1024), spray.Keeper(), spray.Dense(), spray.Auto(1024),
+		spray.Atomic(), spray.BlockCAS(1024), spray.Keeper(), spray.Dense(),
 	} {
 		for _, th := range benchThreads {
 			b.Run(fmt.Sprintf("%s/threads=%d", st, th), func(b *testing.B) {

@@ -38,7 +38,6 @@ func main() {
 		threads  = flag.Int("threads", 8, "threads the region would use")
 		block    = flag.Int("block", 0, "block size for locality metrics (0 = spray default)")
 		size     = flag.Int("n", 1_000_000, "problem size")
-		iters    = flag.Int("iters", 1, "expected repetitions of the region with an identical pattern (>1 enables the iterative plan recommendation)")
 		profile  = flag.String("profile", "", "recommend from a sampled hot-line contention profile file instead of recording a workload")
 	)
 	flag.Parse()
@@ -49,10 +48,10 @@ func main() {
 	}
 
 	run := map[string]func(){
-		"conv":      func() { conv(*size, *threads, *block, *iters) },
-		"tmv":       func() { tmv(*size/10, *threads, *block, *iters) },
-		"graph":     func() { graph(*size/10, *threads, *block, *iters) },
-		"histogram": func() { histogram(*size, *threads, *block, *iters) },
+		"conv":      func() { conv(*size, *threads, *block) },
+		"tmv":       func() { tmv(*size/10, *threads, *block) },
+		"graph":     func() { graph(*size/10, *threads, *block) },
+		"histogram": func() { histogram(*size, *threads, *block) },
 	}
 	if *workload == "all" {
 		for _, name := range []string{"conv", "tmv", "graph", "histogram"} {
@@ -69,7 +68,7 @@ func main() {
 }
 
 // conv records the paper's Figure 9 stencil back-propagation.
-func conv(n, threads, block, iters int) {
+func conv(n, threads, block int) {
 	fmt.Printf("== conv back-propagation (N=%d) ==\n", n)
 	r := advisor.NewRecorder(n, threads, block)
 	for tid := 0; tid < threads; tid++ {
@@ -81,11 +80,11 @@ func conv(n, threads, block, iters int) {
 			tape.Add(i+1, 1)
 		}
 	}
-	printReport(r.Analyze(), iters)
+	fmt.Println(r.Analyze())
 }
 
 // tmv records the Figure 10 transpose-SpMV scatter on a banded matrix.
-func tmv(rows, threads, block, iters int) {
+func tmv(rows, threads, block int) {
 	fmt.Printf("== transpose-SpMV on banded matrix (%d rows) ==\n", rows)
 	a := sparse.Banded[float64](rows, rows, 9, 200, 1)
 	r := advisor.NewRecorder(a.Cols, threads, block)
@@ -98,11 +97,11 @@ func tmv(rows, threads, block, iters int) {
 			}
 		}
 	}
-	printReport(r.Analyze(), iters)
+	fmt.Println(r.Analyze())
 }
 
 // graph records a PageRank-style push over a power-law graph.
-func graph(nodes, threads, block, iters int) {
+func graph(nodes, threads, block int) {
 	fmt.Printf("== graph push (PageRank-style, %d nodes) ==\n", nodes)
 	g := sparse.Graph[float64](nodes, 8, 2)
 	r := advisor.NewRecorder(nodes, threads, block)
@@ -116,14 +115,14 @@ func graph(nodes, threads, block, iters int) {
 		}
 	}
 	rep := r.Analyze()
-	printReport(rep, iters)
+	fmt.Println(rep)
 	if hot := r.TopConflicts(5); len(hot) > 0 {
 		fmt.Printf("hottest shared indices: %v\n\n", hot)
 	}
 }
 
 // histogram records a skewed binning workload (the Figure 5 pattern).
-func histogram(samples, threads, block, iters int) {
+func histogram(samples, threads, block int) {
 	const bins = 1 << 16
 	fmt.Printf("== skewed histogram (%d samples into %d bins) ==\n", samples, bins)
 	rng := rand.New(rand.NewSource(7))
@@ -143,7 +142,7 @@ func histogram(samples, threads, block, iters int) {
 			tape.Add(int(keys[i]), 1)
 		}
 	}
-	printReport(r.Analyze(), iters)
+	fmt.Println(r.Analyze())
 }
 
 // fromProfile loads sampled contention profiles and prints one
@@ -177,15 +176,4 @@ func fromProfile(path string) {
 		rec := advisor.RecommendFromProfile(p)
 		fmt.Printf("recommendation     %s — %s\n\n", rec.Strategy, rec.Reason)
 	}
-}
-
-// printReport renders the analysis and, for repeated regions, the
-// iterative recommendation beneath the one-shot one.
-func printReport(rep advisor.Report, iters int) {
-	fmt.Print(rep)
-	if iters > 1 {
-		rec := rep.RecommendIterative(iters)
-		fmt.Printf("iterative (x%d)     %s — %s\n", iters, rec.Strategy, rec.Reason)
-	}
-	fmt.Println()
 }

@@ -37,7 +37,7 @@ func main() {
 		schedule   = flag.String("schedule", "", "loop schedule for the conv and tmv figure sweeps (spray.ParseSchedule form, e.g. steal or dynamic:8; default static) — rerun with different values to compare schedules across the bench CSVs")
 		metrics    = flag.Bool("metrics", false, "instrument the conv figures: print a telemetry region report per measured point (stderr) and attach counters to CSV-adjacent data")
 		tracePath  = flag.String("trace", "", "record span timelines for the conv figures and write them as Chrome trace-event JSON to this path")
-		hotPath    = flag.String("hotprofile", "", "attach the index-space contention profiler to the conv and plan sweeps and write the sampled hot-line profiles (JSON array) to this path")
+		hotPath    = flag.String("hotprofile", "", "attach the index-space contention profiler to the conv sweeps and write the sampled hot-line profiles (JSON array) to this path")
 		prof       cliutil.Profiling
 	)
 	prof.AddFlags(flag.CommandLine)
@@ -126,16 +126,6 @@ func main() {
 
 	// Beyond-paper strategies on the conv kernel.
 	emit(experiments.Extensions(convCfg), *outdir, "extensions.csv")
-
-	// Plan-compiled reduction: the amortization curve over repeated
-	// applications on the s3dkt3m2-shaped band profile.
-	ths := bench.ThreadCounts(*maxThreads)
-	pcfg := experiments.DefaultPlanConfig(int(90449*tmvScale), ths[len(ths)-1])
-	pcfg.Runner = runner
-	pcfg.Telemetry = *metrics
-	pcfg.OnReport = onReport
-	pcfg.HotProfile = onHot
-	emit(experiments.PlanTMV(pcfg), *outdir, "plan_tmv.csv")
 
 	if *hotPath != "" {
 		fatalIf(hotspot.WriteProfiles(*hotPath, hotProfiles))

@@ -8,13 +8,6 @@
 //	spraybulk -n 2000000 -max-threads 8
 //	spraybulk -workload tmv -json results/BENCH_bulk.json
 //
-// The plan workload sweeps applications-per-solve instead of threads,
-// measuring how the plan-compiled wrapper (spray.Planned) amortizes its
-// record+compile cost against its inner strategies and the MKL-style
-// inspector/executor:
-//
-//	spraybulk -workload plan -json results/BENCH_plan.json
-//
 // -hotprofile attaches the index-space contention profiler to every
 // measured configuration and writes the sampled hot-line profiles as a
 // JSON array; feed the file to sprayadvise -profile for a
@@ -48,9 +41,8 @@ func main() {
 		maxThreads = flag.Int("max-threads", 8, "largest thread count in the sweep")
 		threads    = flag.String("threads", "", "explicit comma-separated thread counts (overrides -max-threads)")
 		strategies = flag.String("strategies", "", "comma-separated strategy list (default: dense,atomic,block-cas,keeper)")
-		workload   = flag.String("workload", "all", "workload to run: conv, tmv, plan, imbalance or all")
+		workload   = flag.String("workload", "all", "workload to run: conv, tmv, imbalance or all")
 		schedules  = flag.String("schedule", "", "comma-separated loop schedules for the imbalance workload's comparison series (spray.ParseSchedule forms, e.g. static,dynamic:8,guided,steal:4096; default static,dynamic,guided,steal)")
-		planIters  = flag.String("plan-iters", "", "comma-separated applications-per-solve counts for the plan workload (default: 1,2,4,8,16,32)")
 		repeats    = flag.Int("repeats", 3, "samples per configuration")
 		minTime    = flag.Duration("min-time", 100*time.Millisecond, "minimum time per sample")
 		jsonPath   = flag.String("json", "results/BENCH_bulk.json", "write results as JSON to this path (empty = skip)")
@@ -113,31 +105,12 @@ func main() {
 		icfg.Schedules = scheds
 	}
 
-	// The plan amortization sweep runs at the largest team size with a
-	// banded matrix sized off -n; the strategy set defaults to the
-	// plan-vs-inner comparison unless overridden.
-	pcfg := experiments.DefaultPlanConfig(*n/4, cfg.Threads[len(cfg.Threads)-1])
-	pcfg.Runner = cfg.Runner
-	pcfg.Telemetry = cfg.Telemetry
-	pcfg.OnReport = cfg.OnReport
-	pcfg.HotProfile = cfg.HotProfile
-	if *strategies != "" {
-		pcfg.Strategies = cfg.Strategies
-	}
-	if *planIters != "" {
-		its, err := cliutil.ParseInts(*planIters)
-		fatalIf(err)
-		pcfg.Iterations = its
-	}
-
 	var results []*bench.Result
 	switch *workload {
 	case "conv":
 		results = append(results, experiments.BulkConv(cfg))
 	case "tmv":
 		results = append(results, experiments.BulkTMV(cfg))
-	case "plan":
-		results = append(results, experiments.PlanTMV(pcfg))
 	case "imbalance":
 		lres, err := experiments.ImbalanceLulesh(icfg)
 		fatalIf(err)
@@ -148,11 +121,10 @@ func main() {
 		lres, err := experiments.ImbalanceLulesh(icfg)
 		fatalIf(err)
 		results = append(results, experiments.BulkConv(cfg), experiments.BulkTMV(cfg),
-			experiments.PlanTMV(pcfg),
 			experiments.ImbalanceSkew(icfg), experiments.ImbalanceTMV(icfg),
 			lres, experiments.ImbalanceConv(icfg))
 	default:
-		fatalIf(fmt.Errorf("unknown workload %q (want conv, tmv, plan, imbalance or all)", *workload))
+		fatalIf(fmt.Errorf("unknown workload %q (want conv, tmv, imbalance or all)", *workload))
 	}
 	for _, res := range results {
 		res.WriteTable(os.Stdout)

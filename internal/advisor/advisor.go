@@ -2,10 +2,12 @@
 // recommends a SPRAY strategy. The paper's motivation section argues that
 // the best scheme "depends on the hardware, application, and input data"
 // and its outlook asks for machinery that moves the choice away from the
-// user; the Auto strategy adapts online, while this package is the
-// offline complement: record one representative region with a Recorder,
-// then read off density, conflict and locality metrics and a recommended
-// strategy with a human-readable justification.
+// user. This package makes the choice offline: record one representative
+// region with a Recorder, then read off density, conflict and locality
+// metrics and a recommended strategy with a human-readable justification.
+// A pattern with no dominant trait gets block-cas: in the two-thread
+// ablation of EXPERIMENTS.md its worst loss to a point's best entry was
+// 1.44x, while every other strategy lost 2.3x or more somewhere.
 package advisor
 
 import (
@@ -209,37 +211,9 @@ func (rep Report) Recommend() Recommendation {
 			"%.0f%% of touched indices are contended — private blocks avoid synchronization entirely",
 			100*rep.ConflictRate)}
 	default:
-		return Recommendation{spray.Auto(rep.Block),
-			"mixed pattern with no dominant trait — the adaptive strategy will privatize hot blocks at run time"}
+		return Recommendation{spray.BlockCAS(rep.Block),
+			"mixed pattern with no dominant trait — block claiming privatizes only the blocks a thread touches, the smallest worst-case loss of any strategy measured"}
 	}
-}
-
-// PlanAmortizationIters is the repetition count from which wrapping the
-// recommended strategy in a compiled plan pays off: the record region
-// runs at inner-strategy speed and the compile costs roughly one more
-// region, so with four or more identical regions the plan's race-free
-// executor has amortized both (see the cmd/spraybulk plan workload).
-const PlanAmortizationIters = 4
-
-// RecommendIterative is Recommend for workloads that will replay the
-// recorded region repeatedly with an identical index pattern (iterative
-// solvers, time stepping, training loops; iters is the expected
-// repetition count). When the repetition amortizes the one-time
-// record+compile cost and threads actually share indices, the base
-// recommendation is wrapped in spray.Planned; otherwise it is returned
-// unchanged.
-func (rep Report) RecommendIterative(iters int) Recommendation {
-	base := rep.Recommend()
-	if iters < PlanAmortizationIters {
-		return base
-	}
-	if rep.ConflictRate == 0 {
-		return Recommendation{base.Strategy, base.Reason +
-			"; no cross-thread conflicts were recorded, so a compiled plan would only add bookkeeping"}
-	}
-	return Recommendation{spray.Planned(base.Strategy), fmt.Sprintf(
-		"%s; the pattern repeats ~%d times, so a compiled plan amortizes one record+compile region and runs the rest race-free",
-		base.Reason, iters)}
 }
 
 // String renders the report as an aligned table plus the recommendation.

@@ -43,45 +43,6 @@ func TestRecommendKeeperForOwnershipPattern(t *testing.T) {
 	}
 }
 
-func TestRecommendIterativeWrapsInPlan(t *testing.T) {
-	// The keeper-shaped pattern has cross-thread conflicts at the range
-	// boundaries; repeated enough times, the iterative recommendation
-	// wraps the base pick in a compiled plan.
-	const n, threads = 10000, 4
-	r := record(n, threads, 0, n, func(tape Tape, tid, i int) {
-		tape.Add(i, 1)
-		if i+1 < n {
-			tape.Add(i+1, 1)
-		}
-	})
-	rep := r.Analyze()
-	base := rep.Recommend()
-	if rec := rep.RecommendIterative(PlanAmortizationIters); rec.Strategy != spray.Planned(base.Strategy) {
-		t.Errorf("iterative recommendation %v (%s), want plan+%v", rec.Strategy, rec.Reason, base.Strategy)
-	}
-	// Too few repetitions: the plan never amortizes, keep the base pick.
-	if rec := rep.RecommendIterative(PlanAmortizationIters - 1); rec.Strategy != base.Strategy {
-		t.Errorf("short-loop recommendation %v, want %v", rec.Strategy, base.Strategy)
-	}
-}
-
-func TestRecommendIterativeKeepsConflictFreePatterns(t *testing.T) {
-	// Perfectly partitioned updates: no thread ever touches another's
-	// indices, so a plan would only add bookkeeping.
-	const n, threads = 8000, 4
-	r := record(n, threads, 0, n, func(tape Tape, tid, i int) {
-		tape.Add(i, 1)
-	})
-	rep := r.Analyze()
-	if rep.ConflictRate != 0 {
-		t.Fatalf("conflict rate %v, want 0", rep.ConflictRate)
-	}
-	rec := rep.RecommendIterative(100)
-	if rec.Strategy.String() == "plan+"+rep.Recommend().Strategy.String() {
-		t.Errorf("conflict-free pattern still wrapped in a plan: %v", rec.Strategy)
-	}
-}
-
 func TestRecommendAtomicForScatteredAccess(t *testing.T) {
 	// Each thread touches a few random locations once: low reuse, low
 	// conflicts.

@@ -48,12 +48,11 @@ func ProfileConcentration(p *hotspot.Profile, k int) float64 {
 //   - no conflict events at all     -> atomic (no memory overhead)
 //   - keeper-foreign dominated      -> ownership fit: low foreign share
 //     keeps the keeper, high foreign share escalates
-//   - plan exchanges dominated      -> the pattern repeats; stay compiled
 //   - retries/claims, tiny rate     -> atomic (contention negligible)
 //   - conflicts but an empty sketch -> rate-based fallback: the profile
 //     has no spatial signal, so "diffuse" cannot be concluded
-//   - concentrated hot lines        -> adaptive: privatize just the hot
-//     blocks
+//   - concentrated hot lines        -> block claiming: only the hot
+//     blocks get privatized
 //   - diffuse heavy contention      -> private blocks, no synchronization
 func RecommendFromProfile(p *hotspot.Profile) Recommendation {
 	if p == nil || p.TotalConflicts() == 0 {
@@ -61,8 +60,8 @@ func RecommendFromProfile(p *hotspot.Profile) Recommendation {
 			return Recommendation{spray.Atomic(), fmt.Sprintf(
 				"%d updates were profiled with zero conflict events — atomics avoid all memory overhead", p.Updates)}
 		}
-		return Recommendation{spray.Auto(spray.DefaultBlockSize),
-			"the profile recorded no updates or conflicts — no signal, the adaptive strategy stays safe"}
+		return Recommendation{spray.BlockCAS(spray.DefaultBlockSize),
+			"the profile recorded no updates or conflicts — no signal, block claiming has the smallest worst-case loss of any strategy measured"}
 	}
 	total := p.TotalConflicts()
 	var rate float64
@@ -72,11 +71,10 @@ func RecommendFromProfile(p *hotspot.Profile) Recommendation {
 	cls, clsW := p.DominantClass()
 	conc := ProfileConcentration(p, 16)
 
-	// The routing classes (foreign submissions, plan exchanges) are
-	// handled by shape, not rate: a small foreign share is
-	// evidence the keeper fits, not that contention is negligible.
-	switch cls {
-	case hotspot.KeeperForeign.String():
+	// Foreign submissions are handled by shape, not rate: a small
+	// foreign share is evidence the keeper fits, not that contention is
+	// negligible.
+	if cls == hotspot.KeeperForeign.String() {
 		share := rate
 		if p.Updates > 0 {
 			share = float64(clsW) / float64(p.Updates)
@@ -87,9 +85,6 @@ func RecommendFromProfile(p *hotspot.Profile) Recommendation {
 		}
 		return Recommendation{spray.BlockCAS(spray.DefaultBlockSize), fmt.Sprintf(
 			"%.0f%% of updates cross the ownership partition — block claiming follows the accesses instead of a fixed split", 100*share)}
-	case hotspot.PlanExchange.String():
-		return Recommendation{spray.Planned(spray.Keeper()), fmt.Sprintf(
-			"%d plan exchange merges dominate — the pattern repeats and the compiled route is already absorbing the conflicts", clsW)}
 	}
 	// CAS retries or block claim contention: rate first, then spatial
 	// shape.
@@ -106,12 +101,12 @@ func RecommendFromProfile(p *hotspot.Profile) Recommendation {
 			return Recommendation{spray.BlockPrivate(spray.DefaultBlockSize), fmt.Sprintf(
 				"conflicts are %.0f%% of updates but the sketch captured no hot lines — contention is heavy and unlocalized, private blocks avoid synchronization without needing a hot set", 100*rate)}
 		}
-		return Recommendation{spray.Auto(spray.DefaultBlockSize),
-			"conflicts were recorded but the sketch captured no hot lines — no spatial signal, the adaptive strategy discovers hot blocks at run time"}
+		return Recommendation{spray.BlockCAS(spray.DefaultBlockSize),
+			"conflicts were recorded but the sketch captured no hot lines — no spatial signal, block claiming has the smallest worst-case loss of any strategy measured"}
 	}
 	if conc >= 0.5 {
-		return Recommendation{spray.Auto(spray.DefaultBlockSize), fmt.Sprintf(
-			"the top 16 hot lines carry %.0f%% of the sampled conflict weight — the adaptive strategy privatizes just those blocks", 100*conc)}
+		return Recommendation{spray.BlockCAS(spray.DefaultBlockSize), fmt.Sprintf(
+			"the top 16 hot lines carry %.0f%% of the sampled conflict weight — block claiming privatizes just those blocks", 100*conc)}
 	}
 	return Recommendation{spray.BlockPrivate(spray.DefaultBlockSize), fmt.Sprintf(
 		"%s conflicts are diffuse (top 16 lines hold %.0f%% of the weight) — private blocks avoid synchronization entirely", cls, 100*conc)}

@@ -177,7 +177,7 @@ func TestRecommendFromProfileLadder(t *testing.T) {
 		want  spray.Strategy
 		wordy string
 	}{
-		{"nil profile", nil, spray.Auto(spray.DefaultBlockSize), "no signal"},
+		{"nil profile", nil, spray.BlockCAS(spray.DefaultBlockSize), "no signal"},
 		{"no conflicts", base(), spray.Atomic(), "zero conflict"},
 		{"negligible rate", func() *hotspot.Profile {
 			p := base()
@@ -194,25 +194,20 @@ func TestRecommendFromProfileLadder(t *testing.T) {
 			p.Totals["keeper-foreign"] = p.Updates / 2 // 50% foreign
 			return p
 		}(), spray.BlockCAS(spray.DefaultBlockSize), "ownership"},
-		{"compiled exchange", func() *hotspot.Profile {
-			p := base()
-			p.Totals["plan-exchange"] = p.Updates / 4
-			return p
-		}(), spray.Planned(spray.Keeper()), "compiled"},
 		{"sharply concentrated retries", func() *hotspot.Profile {
 			p := base()
 			p.Totals["cas-retry"] = p.Updates / 4
 			p.Sampled["cas-retry"] = 1000
 			p.Lines = []hotspot.LineStat{{Line: 7, Index: 56, Count: 900}}
 			return p
-		}(), spray.Auto(spray.DefaultBlockSize), "hot lines"},
+		}(), spray.BlockCAS(spray.DefaultBlockSize), "hot lines"},
 		{"moderately concentrated retries", func() *hotspot.Profile {
 			p := base()
 			p.Totals["cas-retry"] = p.Updates / 4
 			p.Sampled["cas-retry"] = 1000
 			p.Lines = []hotspot.LineStat{{Line: 7, Index: 56, Count: 600}}
 			return p
-		}(), spray.Auto(spray.DefaultBlockSize), "hot lines"},
+		}(), spray.BlockCAS(spray.DefaultBlockSize), "hot lines"},
 		{"all-cold sketch, heavy rate", func() *hotspot.Profile {
 			p := base()
 			p.Totals["cas-retry"] = p.Updates / 2 // 50%, but no hot lines
@@ -223,7 +218,7 @@ func TestRecommendFromProfileLadder(t *testing.T) {
 			p := base()
 			p.Totals["cas-retry"] = p.Updates / 10 // 10%, but no hot lines
 			return p
-		}(), spray.Auto(spray.DefaultBlockSize), "no spatial signal"},
+		}(), spray.BlockCAS(spray.DefaultBlockSize), "no spatial signal"},
 		{"diffuse retries", func() *hotspot.Profile {
 			p := base()
 			p.Totals["cas-retry"] = p.Updates / 4

@@ -103,19 +103,6 @@ func (w Weights3[T]) RunBackpropSched(team *spray.Team, r spray.Reducer[T], seed
 		})
 }
 
-// RunBackpropIters runs iters back-propagation sweeps through one
-// Reducer — the training-loop shape where the stencil geometry (and so
-// every region's AddN pattern) is fixed across epochs while the seed
-// values change. With a plan-compiled reducer the first sweep records
-// the fixed tile pattern and later sweeps execute race-free, amortizing
-// the compile exactly as MKL's inspector/executor amortizes inspection
-// over repeated applications.
-func (w Weights3[T]) RunBackpropIters(team *spray.Team, r spray.Reducer[T], seed []T, iters int) {
-	for it := 0; it < iters; it++ {
-		w.RunBackprop(team, r, seed)
-	}
-}
-
 // RunBackpropEach is the element-wise form of RunBackprop — one Add per
 // tap per iteration, the paper's original loop shape. Kept as the
 // reference (and benchmark baseline) for the bulk path.

@@ -30,7 +30,7 @@ func TestStencil2DBackpropMatchesSequential(t *testing.T) {
 	cross2D.BackpropSeq(seed, want, rows, cols)
 	for _, st := range []spray.Strategy{
 		spray.Atomic(), spray.BlockCAS(256), spray.Keeper(), spray.Dense(),
-		spray.Ordered(), spray.Auto(256),
+		spray.Ordered(),
 	} {
 		for _, threads := range []int{1, 4} {
 			team := spray.NewTeam(threads)

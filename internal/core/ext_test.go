@@ -7,10 +7,9 @@ import (
 	"spray/internal/par"
 )
 
-// Extension strategies (ordered, adaptive) get the same correctness
-// treatment as the paper's strategies plus tests of their distinguishing
-// guarantees: bitwise determinism for Ordered, regime behavior for
-// Adaptive.
+// The ordered extension strategy gets the same correctness treatment as
+// the paper's strategies plus tests of its distinguishing guarantee:
+// bitwise determinism.
 
 func TestOrderedMatchesSequential(t *testing.T) {
 	const n, iters = 700, 300
@@ -79,110 +78,9 @@ func TestOrderedMemoryProportionalToUpdates(t *testing.T) {
 	}
 }
 
-func TestAdaptiveMatchesSequential(t *testing.T) {
-	const n, iters = 900, 400
-	ups := genUpdates(23, iters, n, 3)
-	want := seqApply(n, ups, 1)
-	for _, threads := range []int{1, 4, 7} {
-		for _, bs := range []int{16, 256} {
-			team := par.NewTeam(threads)
-			out := make([]float64, n)
-			for i := range out {
-				out[i] = 1
-			}
-			r := NewAdaptive(out, threads, bs)
-			runReduction(t, team, r, iters, ups)
-			team.Close()
-			if d := num.MaxAbsDiff(out, want); d != 0 {
-				t.Errorf("threads=%d bs=%d: diff %v", threads, bs, d)
-			}
-		}
-	}
-}
-
-func TestAdaptiveStaysAtomicForScatteredAccess(t *testing.T) {
-	// One touch per block: no escalation, no block memory.
-	const n, bs = 1 << 16, 1024
-	out := make([]float64, n)
-	a := NewAdaptive(out, 1, bs)
-	acc := a.Private(0)
-	for b := 0; b < n/bs; b++ {
-		acc.Add(b*bs, 1)
-	}
-	acc.Done()
-	if got := a.EscalatedBlocks(); got != 0 {
-		t.Errorf("escalated %d blocks for one-touch access", got)
-	}
-	a.Finalize()
-	tables := int64((n / bs) * (4 + 24))
-	if a.PeakBytes() != tables {
-		t.Errorf("peak=%d, want tables only %d", a.PeakBytes(), tables)
-	}
-}
-
-func TestAdaptiveEscalatesHotBlocks(t *testing.T) {
-	// Hammer a single block far past the threshold: exactly one
-	// escalation, and the result is still exact.
-	const n, bs = 1 << 14, 256
-	out := make([]float64, n)
-	a := NewAdaptive(out, 1, bs)
-	acc := a.Private(0)
-	const hits = 10 * bs
-	for i := 0; i < hits; i++ {
-		acc.Add(bs+i%bs, 1) // block 1 only
-	}
-	acc.Done()
-	if got := a.EscalatedBlocks(); got != 1 {
-		t.Errorf("escalated %d blocks, want 1", got)
-	}
-	a.Finalize()
-	var sum float64
-	for _, v := range out {
-		sum += v
-	}
-	if sum != hits {
-		t.Errorf("sum=%v, want %d", sum, hits)
-	}
-}
-
-func TestAdaptiveReuseResetsRegime(t *testing.T) {
-	const n, bs, threads = 2048, 64, 2
-	out := make([]float64, n)
-	team := par.NewTeam(threads)
-	defer team.Close()
-	a := NewAdaptive(out, threads, bs)
-	for region := 0; region < 3; region++ {
-		team.Run(func(tid int) {
-			acc := a.Private(tid)
-			for i := tid; i < n; i += threads {
-				acc.Add(i, 1)
-			}
-			acc.Done()
-		})
-		a.Finalize()
-	}
-	for i, v := range out {
-		if v != 3 {
-			t.Fatalf("out[%d]=%v, want 3", i, v)
-		}
-	}
-}
-
-func TestAdaptiveRejectsBadBlockSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("non-power-of-two adaptive block did not panic")
-		}
-	}()
-	NewAdaptive(make([]float64, 16), 1, 100)
-}
-
 func TestExtensionNames(t *testing.T) {
 	out := make([]float64, 8)
 	if got := NewOrdered(out, 1).Name(); got != "ordered" {
 		t.Errorf("ordered Name=%q", got)
-	}
-	if got := NewAdaptive(out, 1, 512).Name(); got != "auto-512" {
-		t.Errorf("adaptive Name=%q", got)
 	}
 }

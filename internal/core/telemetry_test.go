@@ -23,7 +23,6 @@ func allInstrumentable(out []float64, threads int) []Reducer[float64] {
 		NewBlock(out, threads, 8, BlockCAS),
 		NewKeeper(out, threads),
 		NewOrdered(out, threads),
-		NewAdaptive(out, threads, 8),
 		NewCompensated(out, threads),
 	}
 }
@@ -300,34 +299,6 @@ func TestAtomicCASRetryCounting(t *testing.T) {
 	}
 }
 
-// TestAdaptiveEscalationCounter checks that hammering one block records
-// exactly the expected escalations and the atomic->private crossover keeps
-// the result intact.
-func TestAdaptiveEscalationCounter(t *testing.T) {
-	const n, bs = 64, 8
-	out := make([]float64, n)
-	r := NewAdaptive(out, 1, bs)
-	rec := telemetry.NewRecorder(r.Name(), 1)
-	r.Instrument(rec)
-	p := r.Private(0)
-	const hits = 100 // far past the bs>>2 threshold for block 0
-	for i := 0; i < hits; i++ {
-		p.Add(0, 1)
-	}
-	p.Done()
-	r.Finalize()
-	snap := rec.Snapshot()
-	if got := snap.Get(telemetry.Escalations); got != 1 {
-		t.Errorf("escalations = %d, want 1", got)
-	}
-	if got := snap.Get(telemetry.Updates); got != hits {
-		t.Errorf("updates = %d, want %d", got, hits)
-	}
-	if out[0] != hits {
-		t.Errorf("out[0] = %v, want %d", out[0], hits)
-	}
-}
-
 // TestEntryCounters checks the map, btree and ordered entry accounting.
 func TestEntryCounters(t *testing.T) {
 	const n = 32
@@ -368,7 +339,6 @@ func TestInstrumentedResultsUnchanged(t *testing.T) {
 		func(out []float64) Reducer[float64] { return NewAtomic(out, threads) },
 		func(out []float64) Reducer[float64] { return NewBlock(out, threads, 16, BlockCAS) },
 		func(out []float64) Reducer[float64] { return NewKeeper(out, threads) },
-		func(out []float64) Reducer[float64] { return NewAdaptive(out, threads, 16) },
 	} {
 		out := make([]float64, n)
 		r := mk(out)

@@ -161,45 +161,6 @@ func TestLuleshBadSchemeName(t *testing.T) {
 	}
 }
 
-func TestPlanTMVExperiment(t *testing.T) {
-	cfg := DefaultPlanConfig(3000, 2)
-	cfg.Runner = quickRunner()
-	cfg.Iterations = []int{1, 4}
-	cfg.Strategies = []spray.Strategy{spray.Atomic(), spray.Planned(spray.Atomic())}
-	cfg.Telemetry = true
-	res := PlanTMV(cfg)
-	if res.Baseline <= 0 {
-		t.Error("no sequential baseline")
-	}
-	names := map[string]int{}
-	for _, s := range res.Series {
-		names[s.Name] = len(s.Points)
-	}
-	for _, want := range []string{"atomic", "plan+atomic", "mkl-ie"} {
-		if names[want] != len(cfg.Iterations) {
-			t.Errorf("series %q has %d points, want %d (all: %v)", want, names[want], len(cfg.Iterations), names)
-		}
-	}
-	for _, s := range res.Series {
-		for _, p := range s.Points {
-			if p.Time.Mean <= 0 {
-				t.Errorf("%s x=%v: non-positive per-apply time", s.Name, p.X)
-			}
-			if s.Name != "plan+atomic" {
-				continue
-			}
-			// The instrumented solve must show the lifecycle: one record
-			// miss, hits for every later application of the solve.
-			if p.Counters["plan-misses"] != 1 {
-				t.Errorf("plan+atomic x=%v: plan-misses = %d, want 1", p.X, p.Counters["plan-misses"])
-			}
-			if want := uint64(p.X) - 1; p.Counters["plan-hits"] != want {
-				t.Errorf("plan+atomic x=%v: plan-hits = %d, want %d", p.X, p.Counters["plan-hits"], want)
-			}
-		}
-	}
-}
-
 func TestConvSequentialBaselinePositive(t *testing.T) {
 	cfg := quickConvConfig()
 	if b := ConvSequentialBaseline(cfg); b <= 0 {
@@ -214,7 +175,7 @@ func TestExtensionsExperiment(t *testing.T) {
 	for _, s := range res.Series {
 		names[s.Name] = true
 	}
-	for _, want := range []string{"ordered", "auto-1024", "compensated", "dense", "atomic"} {
+	for _, want := range []string{"ordered", "compensated", "dense", "atomic"} {
 		if !names[want] {
 			t.Errorf("missing series %q", want)
 		}

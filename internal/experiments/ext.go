@@ -6,7 +6,7 @@ import (
 )
 
 // Extensions reproduces no paper figure: it measures the beyond-paper
-// strategies (ordered, auto, compensated) against the relevant baselines
+// strategies (ordered, compensated) against the relevant baselines
 // on the convolution back-propagation kernel, so EXPERIMENTS.md can
 // report their overheads with the same methodology as the paper figures.
 func Extensions(cfg ConvConfig) *bench.Result {
@@ -14,17 +14,15 @@ func Extensions(cfg ConvConfig) *bench.Result {
 	c.Strategies = []spray.Strategy{
 		spray.Dense(),       // baseline for compensated (same structure)
 		spray.Compensated(), // + Kahan correction, 2x memory
-		spray.Atomic(),      // baseline for auto's scattered regime
-		spray.Auto(1024),    // adaptive escalation
+		spray.Atomic(),
 		spray.BlockCAS(1024),
 		spray.Ordered(), // determinism at update-log memory cost
 		spray.Keeper(),
 	}
 	res := Fig11(c)
-	res.Title = "Extensions: ordered/auto/compensated vs. baselines (conv back-propagation)"
+	res.Title = "Extensions: ordered/compensated vs. baselines (conv back-propagation)"
 	res.Notes = append(res.Notes,
 		"ordered buys bitwise determinism with memory proportional to the update count",
-		"auto starts atomic and privatizes hot blocks; this kernel's reuse drives it to block behavior",
 		"compensated doubles dense's memory for compensated summation")
 	return res
 }

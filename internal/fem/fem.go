@@ -145,19 +145,6 @@ func (p *Problem) AssembleWith(team *spray.Team, r spray.Reducer[float64]) {
 	r.FinalizeWith(team)
 }
 
-// AssembleIters runs iters numeric assembly passes through one Reducer —
-// the nonlinear-iteration / time-stepping shape where the mesh (and so
-// every pass's element scatter pattern) is fixed while coefficients
-// change. Contributions accumulate across passes, the multi-pass FEM
-// convention AssembleWith documents. With a plan-compiled reducer the
-// first pass records the element scatter map's conflict structure and
-// the remaining passes assemble race-free.
-func (p *Problem) AssembleIters(team *spray.Team, r spray.Reducer[float64], iters int) {
-	for it := 0; it < iters; it++ {
-		p.AssembleWith(team, r)
-	}
-}
-
 // AssembleSeq is the sequential reference assembly.
 func (p *Problem) AssembleSeq() {
 	clear(p.Pattern.Val)

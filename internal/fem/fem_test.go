@@ -38,7 +38,7 @@ func TestAssembleMatchesSequentialAllStrategies(t *testing.T) {
 	want := append([]float64(nil), p.Pattern.Val...)
 	for _, st := range []spray.Strategy{
 		spray.Atomic(), spray.BlockCAS(256), spray.Keeper(), spray.Dense(),
-		spray.Map(), spray.Ordered(), spray.Auto(256), spray.Builtin(),
+		spray.Map(), spray.Ordered(), spray.Builtin(),
 	} {
 		for _, threads := range []int{1, 4} {
 			team := spray.NewTeam(threads)
@@ -150,29 +150,6 @@ func TestAssembleWithAccumulates(t *testing.T) {
 	p.AssembleWith(team, r) // second pass accumulates
 	if d := num.MaxAbsDiff(p.Pattern.Val, want); d > 1e-12 {
 		t.Errorf("double assembly diff %v", d)
-	}
-}
-
-func TestAssembleItersPlanMatchesSequential(t *testing.T) {
-	// The multi-pass helper through a plan-compiled reducer: pass 1
-	// records the element scatter map, later passes run the compiled
-	// executor. All passes must accumulate exactly like repeated
-	// sequential assembly.
-	const passes = 3
-	m := mesh.NewHex(3, 1)
-	p := NewProblem(m)
-	team := spray.NewTeam(3)
-	defer team.Close()
-	p.AssembleSeq()
-	want := append([]float64(nil), p.Pattern.Val...)
-	for i := range want {
-		want[i] *= passes
-	}
-	clear(p.Pattern.Val)
-	r := spray.New(spray.Planned(spray.Keeper()), p.Pattern.Val, team.Size())
-	p.AssembleIters(team, r, passes)
-	if d := num.MaxAbsDiff(p.Pattern.Val, want); d > 1e-12 {
-		t.Errorf("planned %d-pass assembly diff %v", passes, d)
 	}
 }
 

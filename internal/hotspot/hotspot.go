@@ -1,8 +1,7 @@
 // Package hotspot is the index-space contention profiler: an
 // always-cheap, sampling-based attribution of conflict events (CAS
-// retries, block claim contention, keeper foreign submissions, plan
-// exchange merges) to cache-line-granularity regions of the output
-// array.
+// retries, block claim contention, keeper foreign submissions) to
+// cache-line-granularity regions of the output array.
 //
 // The aggregate counters of internal/telemetry answer "how much
 // contention"; this package answers "where". Each thread records into
@@ -40,8 +39,8 @@ import (
 type Class uint8
 
 const (
-	// CASRetry: an atomic (or adaptive-in-atomic-regime) update had to
-	// retry its compare-and-swap; weight = number of retries.
+	// CASRetry: an atomic update had to retry its compare-and-swap;
+	// weight = number of retries.
 	CASRetry Class = iota
 	// BlockContention: a block claim was lost to another thread or the
 	// claim fell back to the spill buffer; recorded at the block base.
@@ -49,16 +48,13 @@ const (
 	// KeeperForeign: an update was submitted to a foreign owner's
 	// queue; weight = number of foreign elements.
 	KeeperForeign
-	// PlanExchange: a compiled plan merged an exchange-list entry, i.e.
-	// an index owned by another thread at execute time.
-	PlanExchange
 
 	// NumClasses is the number of conflict classes.
-	NumClasses = 4
+	NumClasses = 3
 )
 
 var classNames = [NumClasses]string{
-	"cas-retry", "block-contention", "keeper-foreign", "plan-exchange",
+	"cas-retry", "block-contention", "keeper-foreign",
 }
 
 // String returns the stable kebab-case name used in exports.
@@ -287,7 +283,7 @@ func (s *Shard) RecordRun(c Class, base, n int) {
 }
 
 // RecordBatch attributes one event per index in idx — e.g. a scattered
-// foreign submission or a plan exchange list. One recording call for
+// foreign submission. One recording call for
 // decimation; when sampled, every index lands in the sketch.
 func (s *Shard) RecordBatch(c Class, idx []int32) {
 	if s == nil || len(idx) == 0 {

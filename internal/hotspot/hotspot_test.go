@@ -25,7 +25,7 @@ func TestHotspotNilSafety(t *testing.T) {
 	s.Record(CASRetry, 3)
 	s.RecordW(KeeperForeign, 3, 7)
 	s.RecordRun(KeeperForeign, 0, 100)
-	s.RecordBatch(PlanExchange, []int32{1, 2, 3})
+	s.RecordBatch(KeeperForeign, []int32{1, 2, 3})
 	var prof *Profile
 	if prof.TotalConflicts() != 0 {
 		t.Fatal("nil profile TotalConflicts should be 0")
@@ -111,11 +111,11 @@ func TestHotspotRecordRunSpreadsWeight(t *testing.T) {
 }
 
 func TestHotspotRecordBatch(t *testing.T) {
-	p := exact("planned+keeper", 1024, 1)
+	p := exact("keeper", 1024, 1)
 	s := p.Shard(0)
-	s.RecordBatch(PlanExchange, []int32{0, 1, 7, 8, 64})
+	s.RecordBatch(KeeperForeign, []int32{0, 1, 7, 8, 64})
 	prof := p.Snapshot()
-	if prof.Totals["plan-exchange"] != 5 {
+	if prof.Totals["keeper-foreign"] != 5 {
 		t.Fatalf("total = %v", prof.Totals)
 	}
 	got := map[int]uint64{}
@@ -169,7 +169,7 @@ func TestHotspotTopKAdmitsHeavyLine(t *testing.T) {
 func TestHotspotReset(t *testing.T) {
 	p := exact("atomic", 1024, 2)
 	p.Shard(0).Record(CASRetry, 0)
-	p.Shard(1).RecordW(PlanExchange, 64, 5)
+	p.Shard(1).RecordW(KeeperForeign, 64, 5)
 	p.Reset()
 	prof := p.Snapshot()
 	if prof.TotalConflicts() != 0 || len(prof.Lines) != 0 {
@@ -209,8 +209,8 @@ func TestHotspotMergeAndGeometry(t *testing.T) {
 }
 
 func TestHotspotProfileJSONRoundTrip(t *testing.T) {
-	p := exact("plan+atomic", 1024, 2)
-	p.Shard(0).RecordW(PlanExchange, 24, 9)
+	p := exact("block-cas-1024", 1024, 2)
+	p.Shard(0).RecordW(BlockContention, 24, 9)
 	p.Shard(1).Record(CASRetry, 800)
 	prof := p.Snapshot()
 	prof.Updates = 1 << 20
@@ -224,7 +224,7 @@ func TestHotspotProfileJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].Strategy != "plan+atomic" || got[0].Updates != prof.Updates {
+	if len(got) != 1 || got[0].Strategy != "block-cas-1024" || got[0].Updates != prof.Updates {
 		t.Fatalf("round trip: %+v", got)
 	}
 	if got[0].TotalConflicts() != prof.TotalConflicts() {

@@ -150,10 +150,9 @@ func (t *Team) Size() int { return t.size }
 // Regions returns the number of parallel regions dispatched on this team
 // so far — a monotonically increasing region epoch. Regions are counted
 // whether or not instrumentation is attached, so the value is a stable
-// clock: the plan-compiled reducer stamps its compiled plan with the
-// epoch of the record region, letting diagnostics correlate a plan with
-// the region that produced it. Read it between regions (the counter is
-// bumped at dispatch, unsynchronized with the members).
+// clock: the benchmark's traced runs read it to count regions per step.
+// Read it between regions (the counter is bumped at dispatch,
+// unsynchronized with the members).
 func (t *Team) Regions() int64 { return t.regions }
 
 // SetTiming attaches (or, with nil, detaches) a region-lifecycle timing

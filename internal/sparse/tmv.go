@@ -30,7 +30,7 @@ func RunTMulVec[T num.Float](team *spray.Team, r spray.Reducer[T], a *CSR[T], x 
 
 // RunTMulVecSched is RunTMulVec with an explicit loop schedule. Chunked
 // schedules (StaticChunk, Dynamic) give reducers with a mid-region drain
-// (keeper, and wrappers over it) chunk boundaries inside each
+// (keeper) chunk boundaries inside each
 // member's row range, so inbound foreign work is applied while the region
 // runs instead of piling up until Finalize.
 func RunTMulVecSched[T num.Float](team *spray.Team, r spray.Reducer[T], a *CSR[T], x []T, s spray.Schedule) {
@@ -56,20 +56,6 @@ func RunTMulVecSched[T num.Float](team *spray.Team, r spray.Reducer[T], a *CSR[T
 				bacc.Scatter(a.Col[k0:k1], vals)
 			}
 		})
-}
-
-// RunTMulVecIters applies y += Aᵀ·x for iters rounds through one
-// Reducer — the iterative-solver shape (power iteration, PageRank,
-// repeated SpMV in MKL's inspector/executor benchmarks) where the matrix
-// structure, and therefore every region's scatter index pattern, is
-// identical across rounds. That makes it the amortization workload for
-// the plan-compiled wrapper: round 1 records and compiles, rounds 2..N
-// execute race-free, and the one-time inspection cost divides away as
-// iters grows.
-func RunTMulVecIters[T num.Float](team *spray.Team, r spray.Reducer[T], a *CSR[T], x []T, iters int) {
-	for it := 0; it < iters; it++ {
-		RunTMulVec(team, r, a, x)
-	}
 }
 
 // RunTMulVecEach is the element-wise form of RunTMulVec — one Add per

@@ -16,7 +16,7 @@ type HKind uint8
 
 const (
 	// CASLatency is the latency of one atomic CAS-loop accumulation
-	// (atomic strategy and the adaptive atomic regime), sampled 1-in-N.
+	// (atomic strategy), sampled 1-in-N.
 	CASLatency HKind = iota
 	// ClaimLatency is the latency of resolving storage for a block on
 	// first touch — the in-place claim or the fallback privatization,
@@ -30,13 +30,6 @@ const (
 	// stamped and measured when that owner's queue drains (or, with the
 	// mid-region mailbox path, when a published parcel is applied).
 	KeeperDwell
-	// PlanCompile is the latency of compiling one execution plan from a
-	// recorded region (ownership partitioning plus exchange-list
-	// construction). Compilation is rare — once per record region — so
-	// every compile is observed when instrumented, making the one-time
-	// inspection cost the amortization curve divides away directly
-	// readable from the histogram.
-	PlanCompile
 	// NumHKinds sizes histogram shard blocks and snapshots.
 	NumHKinds
 )
@@ -45,7 +38,6 @@ var hkindNames = [NumHKinds]string{
 	CASLatency:   "cas-latency",
 	ClaimLatency: "claim-latency",
 	KeeperDwell:  "keeper-dwell",
-	PlanCompile:  "plan-compile-latency",
 }
 
 // String returns the stable external name of the latency kind.
@@ -54,16 +46,6 @@ func (k HKind) String() string {
 		return hkindNames[k]
 	}
 	return fmt.Sprintf("hkind(%d)", int(k))
-}
-
-// HKindByName resolves an external latency name back to its HKind.
-func HKindByName(name string) (HKind, bool) {
-	for k, n := range hkindNames {
-		if n == name {
-			return HKind(k), true
-		}
-	}
-	return 0, false
 }
 
 // SamplePeriod is the decimation factor of the latency sampling hooks:

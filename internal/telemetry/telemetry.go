@@ -42,8 +42,8 @@ const (
 	// BulkElems counts elements delivered through AddN/Scatter batches.
 	BulkElems
 	// CASRetries counts failed compare-and-swap attempts: atomic-strategy
-	// (and adaptive atomic-regime) value CAS loops that had to re-read,
-	// and block-cas claim CASes that lost the ownership race.
+	// value CAS loops that had to re-read, and block-cas claim CASes that
+	// lost the ownership race.
 	CASRetries
 	// BlockClaims counts blocks claimed in place inside the original
 	// array (block-lock / block-cas modes).
@@ -65,9 +65,6 @@ const (
 	// Entries counts key-value entries held at Done (map/B-tree
 	// strategies) or update-log records (ordered strategy).
 	Entries
-	// Escalations counts adaptive blocks promoted from the atomic regime
-	// to a private copy.
-	Escalations
 	// KeeperMidDrains counts mid-region mailbox drains: chunk boundaries
 	// at which an owner found (and applied) inbound foreign parcels
 	// before Finalize.
@@ -75,18 +72,6 @@ const (
 	// TraceDropped counts span events evicted from a full trace ring
 	// buffer (oldest-first) before they could be exported.
 	TraceDropped
-	// PlanHits counts parallel regions the plan-compiled reducer executed
-	// through its compiled plan (race-free owned loops + exchange merge,
-	// inner strategy bypassed).
-	PlanHits
-	// PlanMisses counts regions the plan-compiled reducer ran in record
-	// mode (forwarding to the inner strategy while capturing the update
-	// stream) — the regions that pay the inspection cost.
-	PlanMisses
-	// PlanInvalidations counts executor regions that detected a deviation
-	// from the recorded index pattern (unseen index, changed op stream)
-	// and fell back to record mode for the next region.
-	PlanInvalidations
 	// Steals counts successful work-steal acquisitions under the steal
 	// schedule: chunks a dry member took FIFO from a victim's deque.
 	Steals
@@ -116,30 +101,26 @@ const (
 )
 
 var kindNames = [NumKinds]string{
-	Updates:           "updates",
-	AddNRuns:          "addn-runs",
-	ScatterRuns:       "scatter-runs",
-	BulkElems:         "bulk-elems",
-	CASRetries:        "cas-retries",
-	BlockClaims:       "block-claims",
-	BlockFallbacks:    "block-fallbacks",
-	PoolReuses:        "pool-reuses",
-	KeeperOwned:       "keeper-owned",
-	KeeperForeign:     "keeper-foreign",
-	KeeperDrained:     "keeper-drained",
-	Entries:           "entries",
-	Escalations:       "escalations",
-	KeeperMidDrains:   "keeper-midregion-drains",
-	TraceDropped:      "trace-dropped",
-	PlanHits:          "plan-hits",
-	PlanMisses:        "plan-misses",
-	PlanInvalidations: "plan-invalidations",
-	Steals:            "steals",
-	StealFails:        "steal-fails",
-	StealIters:        "steal-iters",
-	GrainSplits:       "grain-splits",
-	GrainCoalesces:    "grain-coalesces",
-	ChunksExecuted:    "chunks-executed",
+	Updates:         "updates",
+	AddNRuns:        "addn-runs",
+	ScatterRuns:     "scatter-runs",
+	BulkElems:       "bulk-elems",
+	CASRetries:      "cas-retries",
+	BlockClaims:     "block-claims",
+	BlockFallbacks:  "block-fallbacks",
+	PoolReuses:      "pool-reuses",
+	KeeperOwned:     "keeper-owned",
+	KeeperForeign:   "keeper-foreign",
+	KeeperDrained:   "keeper-drained",
+	Entries:         "entries",
+	KeeperMidDrains: "keeper-midregion-drains",
+	TraceDropped:    "trace-dropped",
+	Steals:          "steals",
+	StealFails:      "steal-fails",
+	StealIters:      "steal-iters",
+	GrainSplits:     "grain-splits",
+	GrainCoalesces:  "grain-coalesces",
+	ChunksExecuted:  "chunks-executed",
 }
 
 // String returns the stable external name of the counter kind (used in
@@ -149,16 +130,6 @@ func (k Kind) String() string {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
-}
-
-// KindByName resolves an external counter name back to its Kind.
-func KindByName(name string) (Kind, bool) {
-	for k, n := range kindNames {
-		if n == name {
-			return Kind(k), true
-		}
-	}
-	return 0, false
 }
 
 // histSlot is one latency histogram inside a shard: log-bucketed counts
@@ -489,14 +460,4 @@ func (s Snapshot) String() string {
 		return "(no events)"
 	}
 	return b.String()
-}
-
-// SortedNames returns all counter names in kind order — the canonical
-// column order for emitters that want stable headers.
-func SortedNames() []string {
-	out := make([]string, NumKinds)
-	for k := range out {
-		out[k] = Kind(k).String()
-	}
-	return out
 }

@@ -33,7 +33,6 @@ import (
 	"spray/internal/core"
 	"spray/internal/num"
 	"spray/internal/par"
-	"spray/internal/plan"
 )
 
 // Value is the element type constraint for reducers: any floating-point
@@ -145,17 +144,6 @@ func ParallelFor(t *Team, lo, hi int, s Schedule, body func(tid, from, to int)) 
 // interface is backed by the concrete strategy type directly — there is
 // no adapter layer between the public API and the implementation.
 func New[T Value](st Strategy, out []T, threads int) Reducer[T] {
-	r := newInner(st, out, threads)
-	if st.planned {
-		// The plan wrapper goes outermost so record mode captures the
-		// stream exactly as the inner stack would consume it. A
-		// compensated core keeps Kahan accuracy in execute mode.
-		return plan.NewPlanned(r, out, plan.Config{Kahan: st.kind == kindCompensated})
-	}
-	return r
-}
-
-func newInner[T Value](st Strategy, out []T, threads int) Reducer[T] {
 	switch st.kind {
 	case kindBuiltin:
 		return core.NewBuiltin(out, threads)
@@ -177,8 +165,6 @@ func newInner[T Value](st Strategy, out []T, threads int) Reducer[T] {
 		return core.NewKeeper(out, threads)
 	case kindOrdered:
 		return core.NewOrdered(out, threads)
-	case kindAuto:
-		return core.NewAdaptive(out, threads, st.param)
 	case kindCompensated:
 		return core.NewCompensated(out, threads)
 	default:

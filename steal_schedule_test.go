@@ -1,10 +1,9 @@
 package spray
 
-// Strategy-hook audit for the steal schedule: every reducer hook that
-// fires at chunk boundaries — the keeper's mid-region mailbox drain and
-// the plan wrapper's tape verification — was designed against the
-// monotone per-member chunk order of the static/dynamic/guided
-// schedules. The steal schedule delivers chunks out of order and moves
+// Strategy-hook audit for the steal schedule: the reducer hook that
+// fires at chunk boundaries — the keeper's mid-region mailbox drain —
+// was designed against the monotone per-member chunk order of the
+// static/dynamic/guided schedules. The steal schedule delivers chunks out of order and moves
 // them between members mid-region, so these tests force heavy stealing
 // (a stalled member) and pin exact results plus the hook counters.
 
@@ -43,13 +42,12 @@ func stealBody(in []float64, n int, stall time.Duration) (func(acc Accessor[floa
 	return body, ref
 }
 
-// TestStealScheduleAllStrategies pins exactness of every strategy —
-// bases and wrapper stacks — under forced stealing.
+// TestStealScheduleAllStrategies pins exactness of every strategy under
+// forced stealing.
 func TestStealScheduleAllStrategies(t *testing.T) {
 	const n = 30_000
 	in := testInput(n)
-	all := append(AllStrategies(), Planned(Atomic()), Planned(Keeper()))
-	for _, st := range all {
+	for _, st := range AllStrategies() {
 		for _, threads := range []int{1, 4} {
 			team := NewTeam(threads)
 			out := make([]float64, n)
@@ -103,45 +101,4 @@ func TestStealKeeperMidDrain(t *testing.T) {
 	if ci := rep.ChunkImbalance(); ci < 1 {
 		t.Errorf("chunk imbalance %.2f, want >= 1 with per-thread chunk counts", ci)
 	}
-}
-
-// TestStealPlanTapeInvalidation pins the plan wrapper's behavior when
-// the executor's recorded partition cannot hold: the steal schedule
-// repartitions every region (different members stall), so tape
-// verification must catch the deviation and the wrapper must degrade —
-// re-record, then permanent passthrough — while every region's values
-// stay exact.
-func TestStealPlanTapeInvalidation(t *testing.T) {
-	const n, threads, regions = 40_000, 4, 8
-	in := testInput(n)
-	team := NewTeam(threads)
-	defer team.Close()
-	out := make([]float64, n)
-	want := make([]float64, n)
-	r := New(Planned(Keeper()), out, threads)
-	ins := Instrument(team, r)
-	defer ins.Detach()
-	for reg := 0; reg < regions; reg++ {
-		body, ref := stealBody(in, n, time.Duration(1+reg%3)*time.Millisecond)
-		RunReduction(team, r, 0, n, Steal(64), body)
-		ref(want)
-		if d := num.MaxAbsDiff(out, want); d != 0 {
-			t.Fatalf("region %d: planned under steal diff %v", reg, d)
-		}
-	}
-	rep := ins.Report()
-	hits := rep.Counters.Get(telemetry.PlanHits)
-	misses := rep.Counters.Get(telemetry.PlanMisses)
-	invals := rep.Counters.Get(telemetry.PlanInvalidations)
-	if misses == 0 {
-		t.Error("plan wrapper recorded no regions")
-	}
-	// Every region is accounted for: executed through a verified plan,
-	// recorded, or caught deviating by tape verification (an invalidated
-	// region executes through the fallback and counts as neither hit nor
-	// miss).
-	if hits+misses+invals < regions {
-		t.Errorf("plan hits %d + misses %d + invalidations %d < %d regions", hits, misses, invals, regions)
-	}
-	t.Logf("plan under steal: hits=%d misses=%d invalidations=%d", hits, misses, invals)
 }

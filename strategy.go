@@ -20,7 +20,6 @@ const (
 	kindBlockCAS
 	kindKeeper
 	kindOrdered
-	kindAuto
 	kindCompensated
 )
 
@@ -34,9 +33,8 @@ const DefaultBlockSize = 1024
 // select the scheme from configuration, the paper's performance
 // portability argument.
 type Strategy struct {
-	kind    kind
-	param   int // block size for block-*, node degree for btree
-	planned bool
+	kind  kind
+	param int // block size for block-*, node degree for btree
 }
 
 // Builtin selects the model of the compiler-provided OpenMP reduction
@@ -83,37 +81,10 @@ func Keeper() Strategy { return Strategy{kind: kindKeeper} }
 // schedules, at memory cost proportional to the number of updates.
 func Ordered() Strategy { return Strategy{kind: kindOrdered} }
 
-// Auto selects the adaptive strategy (an extension implementing the
-// paper's outlook of a generic reducer): atomic updates that privatize
-// individual blocks once they prove hot. blockSize <= 0 selects
-// DefaultBlockSize.
-func Auto(blockSize int) Strategy {
-	return Strategy{kind: kindAuto, param: defaultBlock(blockSize)}
-}
-
 // Compensated selects the Kahan-compensated dense strategy (an extension
 // realizing the paper's "more accurate summation" templating point):
 // per-thread partials carry correction terms, at twice Dense's memory.
 func Compensated() Strategy { return Strategy{kind: kindCompensated} }
-
-// Planned wraps any strategy with the plan-compiled inspector–executor:
-// the first region records the per-thread update stream through the
-// inner strategy, then compiles it into thread-owned segments plus
-// cross-thread exchange lists; subsequent identical regions bypass the
-// inner strategy entirely and run race-free owned loops with a
-// deterministic exchange merge at finalize. A region that deviates from
-// the recorded pattern (unseen index, reshaped batch, missing thread) is
-// completed correctly, invalidates the plan, and triggers a re-record;
-// repeated invalidation degrades to a permanent passthrough. Prints and
-// parses as "plan+<inner>", e.g. "plan+atomic" or "plan+keeper".
-// Worth it for iterative workloads (tMV time loops, FEM assembly, conv
-// backprop) that replay one index pattern many times — the inspection
-// cost amortizes like MKL's inspector/executor; a pattern that changes
-// every region only pays recording overhead.
-func Planned(inner Strategy) Strategy {
-	inner.planned = true
-	return inner
-}
 
 func defaultBlock(b int) int {
 	if b <= 0 {
@@ -123,13 +94,8 @@ func defaultBlock(b int) int {
 }
 
 // String renders the strategy in the paper's naming convention, e.g.
-// "block-cas-1024" or "plan+atomic".
+// "block-cas-1024".
 func (s Strategy) String() string {
-	if s.planned {
-		base := s
-		base.planned = false
-		return "plan+" + base.String()
-	}
 	switch s.kind {
 	case kindBuiltin:
 		return "omp-builtin"
@@ -154,8 +120,6 @@ func (s Strategy) String() string {
 		return "keeper"
 	case kindOrdered:
 		return "ordered"
-	case kindAuto:
-		return fmt.Sprintf("auto-%d", s.param)
 	case kindCompensated:
 		return "compensated"
 	default:
@@ -166,21 +130,7 @@ func (s Strategy) String() string {
 // ParseStrategy parses the String form back into a Strategy. Block sizes
 // and B-tree degrees are optional suffixes: "block-cas" means
 // "block-cas-1024", "btree" uses the default degree.
-//
-// plan+ is the only wrapper prefix and applies once, directly on a base
-// strategy; a doubled wrapper is rejected with an error rather than
-// silently collapsed.
 func ParseStrategy(s string) (Strategy, error) {
-	if rest, ok := strings.CutPrefix(s, "plan+"); ok {
-		inner, err := ParseStrategy(rest)
-		if err != nil {
-			return Strategy{}, err
-		}
-		if inner.planned {
-			return Strategy{}, fmt.Errorf("spray: strategy %q stacks the plan wrapper twice", s)
-		}
-		return Planned(inner), nil
-	}
 	switch s {
 	case "omp-builtin", "builtin", "omp":
 		return Builtin(), nil
@@ -194,8 +144,6 @@ func ParseStrategy(s string) (Strategy, error) {
 		return Keeper(), nil
 	case "ordered":
 		return Ordered(), nil
-	case "auto":
-		return Auto(0), nil
 	case "compensated":
 		return Compensated(), nil
 	case "btree":
@@ -212,7 +160,6 @@ func ParseStrategy(s string) (Strategy, error) {
 		"block-private-": BlockPrivate,
 		"block-lock-":    BlockLock,
 		"block-cas-":     BlockCAS,
-		"auto-":          Auto,
 	} {
 		if rest, ok := strings.CutPrefix(s, prefix); ok {
 			n, err := strconv.Atoi(rest)
@@ -256,7 +203,6 @@ func AllStrategies() []Strategy {
 		BlockCAS(0),
 		Keeper(),
 		Ordered(),
-		Auto(0),
 		Compensated(),
 	}
 }

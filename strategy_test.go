@@ -5,25 +5,14 @@ import (
 	"testing"
 )
 
-// TestWrapperNestingRoundTrip drives every valid wrapper nesting over
-// every base strategy through parse -> print -> parse and requires a
-// fixed point: the printed form re-parses to an identical Strategy value
-// and prints identically again.
+// TestWrapperNestingRoundTrip drives every strategy through parse ->
+// print -> parse and requires a fixed point: the printed form re-parses
+// to an identical Strategy value and prints identically again. No
+// wrapper prefix exists any more, so the base strategies are the whole
+// name space.
 func TestWrapperNestingRoundTrip(t *testing.T) {
-	wrap := func(prefix string) []string {
-		var out []string
-		for _, base := range AllStrategies() {
-			out = append(out, prefix+base.String())
-		}
-		return out
-	}
-	var names []string
-	for _, prefix := range []string{
-		"", "plan+",
-	} {
-		names = append(names, wrap(prefix)...)
-	}
-	for _, name := range names {
+	for _, base := range AllStrategies() {
+		name := base.String()
 		st, err := ParseStrategy(name)
 		if err != nil {
 			t.Errorf("ParseStrategy(%q): %v", name, err)
@@ -45,44 +34,23 @@ func TestWrapperNestingRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWrapperSettersMatchParsedForm checks the Go constructor spelling
-// and the string spelling of each nesting build identical values.
-func TestWrapperSettersMatchParsedForm(t *testing.T) {
-	cases := []struct {
-		name string
-		st   Strategy
-	}{
-		{"plan+compensated", Planned(Compensated())},
-		{"plan+block-cas-1024", Planned(BlockCAS(0))},
-	}
-	for _, c := range cases {
-		parsed, err := ParseStrategy(c.name)
-		if err != nil {
-			t.Errorf("ParseStrategy(%q): %v", c.name, err)
-			continue
-		}
-		if parsed != c.st {
-			t.Errorf("%q: parsed %v != constructed %v", c.name, parsed, c.st)
-		}
-		if got := c.st.String(); got != c.name {
-			t.Errorf("constructed %v prints %q, want %q", c.st, got, c.name)
-		}
-	}
-}
-
-// TestParseStrategyRejectsInvalidNestings requires every non-canonical
-// or doubled wrapper order to fail with an error that names the problem
-// (not a silent reassociation into the canonical order, which would make
-// the string mean something the user did not write).
+// TestParseStrategyRejectsInvalidNestings requires every wrapper prefix,
+// and every name of a deleted strategy, to fail with an error that names
+// the problem. Saved configurations may still carry these names; they
+// must be refused, not silently mapped onto a surviving strategy.
 func TestParseStrategyRejectsInvalidNestings(t *testing.T) {
 	cases := []struct {
 		name    string
 		errWant string // substring the error must carry
 	}{
-		{"plan+plan+atomic", "stacks the plan wrapper twice"},
+		{"plan+plan+atomic", "unknown strategy"},
+		{"plan+keeper", "unknown strategy"},
+		{"plan+atomic", "unknown strategy"},
 		{"binned+atomic", "unknown strategy"},
 		{"hot+atomic", "unknown strategy"},
 		{"plan+hot+atomic", "unknown strategy"},
+		{"auto", "unknown strategy"},
+		{"auto-1024", "unknown strategy"},
 	}
 	for _, c := range cases {
 		st, err := ParseStrategy(c.name)
@@ -93,26 +61,5 @@ func TestParseStrategyRejectsInvalidNestings(t *testing.T) {
 		if !strings.Contains(err.Error(), c.errWant) {
 			t.Errorf("ParseStrategy(%q) error %q does not mention %q", c.name, err, c.errWant)
 		}
-	}
-}
-
-// TestParseStrategiesListWithWrappers checks the comma-list entry point
-// used by the CLIs handles wrapped names and propagates nesting errors.
-func TestParseStrategiesListWithWrappers(t *testing.T) {
-	sts, err := ParseStrategies("atomic, plan+keeper")
-	if err != nil {
-		t.Fatalf("ParseStrategies: %v", err)
-	}
-	want := []Strategy{Atomic(), Planned(Keeper())}
-	if len(sts) != len(want) {
-		t.Fatalf("got %d strategies, want %d", len(sts), len(want))
-	}
-	for i := range want {
-		if sts[i] != want[i] {
-			t.Errorf("entry %d: %v, want %v", i, sts[i], want[i])
-		}
-	}
-	if _, err := ParseStrategies("atomic, plan+plan+atomic"); err == nil {
-		t.Error("invalid nesting inside a list was accepted")
 	}
 }

@@ -133,26 +133,3 @@ func TestOrderedStrategyBitwiseReproducibleThroughPublicAPI(t *testing.T) {
 		}
 	}
 }
-
-func TestAutoStrategyThroughPublicAPI(t *testing.T) {
-	const n = 10000
-	team := NewTeam(4)
-	defer team.Close()
-	out := make([]float64, n)
-	r := ReduceFor(team, Auto(256), out, 0, n, Static(),
-		func(acc Accessor[float64], from, to int) {
-			for rep := 0; rep < 3; rep++ { // enough reuse to escalate
-				for i := from; i < to; i++ {
-					acc.Add(i, 1)
-				}
-			}
-		})
-	if r.Name() != "auto-256" {
-		t.Errorf("name %q", r.Name())
-	}
-	for i, v := range out {
-		if v != 3 {
-			t.Fatalf("out[%d]=%v", i, v)
-		}
-	}
-}
