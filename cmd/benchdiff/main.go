@@ -6,12 +6,10 @@
 //
 //	benchdiff old.json new.json
 //	benchdiff -sigma 4 -min-rel 0.10 old.json new.json
-//	benchdiff -gate baseline.json new.json
 //
-// In -gate mode a missing, legacy or host-incompatible baseline is not an
-// error: the candidate is promoted to be the new baseline and the gate
-// passes, so the first run on a fresh machine bootstraps itself instead
-// of failing CI. Same-host runs still gate strictly.
+// A missing, legacy or host-incompatible baseline exits 2 and prints the
+// command that re-records it from the candidate: the baseline is never
+// replaced behind the gate's back.
 package main
 
 import (
@@ -33,7 +31,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		sigma  = fs.Float64("sigma", bench.DefaultSigma, "noise band width in combined standard deviations")
 		minRel = fs.Float64("min-rel", bench.DefaultMinRel, "noise band floor as a fraction of the old mean")
-		gate   = fs.Bool("gate", false, "baseline-bootstrap mode: promote the candidate when the baseline is missing or not comparable")
 		expect = fs.Bool("expect-regression", false, "self-test mode: exit 0 only when a regression IS detected")
 		quiet  = fs.Bool("q", false, "suppress the delta table; print only the verdict")
 	)
@@ -61,20 +58,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	base, err := bench.ReadFile(basePath)
-	if err != nil {
-		if *gate && os.IsNotExist(err) {
-			return promote(basePath, cand, "no baseline", stderr)
-		}
-		fmt.Fprintln(stderr, "benchdiff:", err)
-		return 2
+	var d *bench.Diff
+	if err == nil {
+		d, err = bench.DiffFiles(base, cand, bench.DiffOptions{Sigma: *sigma, MinRel: *minRel})
 	}
-
-	d, err := bench.DiffFiles(base, cand, bench.DiffOptions{Sigma: *sigma, MinRel: *minRel})
 	if err != nil {
-		if *gate {
-			return promote(basePath, cand, err.Error(), stderr)
-		}
 		fmt.Fprintln(stderr, "benchdiff:", err)
+		fmt.Fprintf(stderr, "benchdiff: to re-record the baseline from this run on this host: cp %s %s\n", candPath, basePath)
 		return 2
 	}
 
@@ -97,25 +87,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	fmt.Fprintln(stdout, "benchdiff: no regression")
-	return 0
-}
-
-// promote installs the candidate as the new baseline (gate mode only).
-func promote(basePath string, cand *bench.File, why string, stderr io.Writer) int {
-	f, err := os.Create(basePath)
-	if err != nil {
-		fmt.Fprintln(stderr, "benchdiff:", err)
-		return 2
-	}
-	if err := cand.Write(f); err != nil {
-		f.Close()
-		fmt.Fprintln(stderr, "benchdiff:", err)
-		return 2
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(stderr, "benchdiff:", err)
-		return 2
-	}
-	fmt.Fprintf(stderr, "benchdiff: %s — recorded %s as the new baseline\n", why, basePath)
 	return 0
 }

@@ -62,44 +62,62 @@ func TestWideNoiseBandAbsorbsFixtureRegression(t *testing.T) {
 	}
 }
 
-func TestGateBootstrapsMissingBaseline(t *testing.T) {
-	basePath := filepath.Join(t.TempDir(), "baseline.json")
-	code, _, stderr := exec(t, "-gate", basePath, baseFixture)
-	if code != 0 {
-		t.Fatalf("bootstrap exit = %d\nstderr: %s", code, stderr)
+// assertRerecordRefusal checks that an incomparable baseline exits 2,
+// names the copy command that re-records it from the candidate, and is
+// left exactly as it was.
+func assertRerecordRefusal(t *testing.T, basePath string) {
+	t.Helper()
+	before, readErr := os.ReadFile(basePath)
+	code, stdout, stderr := exec(t, basePath, baseFixture)
+	if code != 2 {
+		t.Fatalf("exit = %d, want 2\nstderr: %s", code, stderr)
 	}
-	if !strings.Contains(stderr, "new baseline") {
-		t.Errorf("stderr: %s", stderr)
+	if want := "cp " + baseFixture + " " + basePath; !strings.Contains(stderr, want) {
+		t.Errorf("stderr does not name the re-record command %q:\n%s", want, stderr)
 	}
-	promoted, err := bench.ReadFile(basePath)
-	if err != nil || promoted.Schema != bench.SchemaVersion {
-		t.Fatalf("promoted baseline unreadable: %v", err)
+	if stdout != "" {
+		t.Errorf("refusal printed a delta table:\n%s", stdout)
 	}
-	// The next gated run compares against the promoted baseline strictly.
-	if code, _, _ := exec(t, "-gate", basePath, baseFixture); code != 0 {
-		t.Errorf("gate against promoted baseline: exit %d, want 0", code)
+	after, err := os.ReadFile(basePath)
+	if readErr != nil {
+		if err == nil {
+			t.Error("a missing baseline was created")
+		}
+		return
 	}
-	if code, _, _ := exec(t, "-gate", basePath, regressedFixture); code != 1 {
-		t.Errorf("gate must still fail on a real regression: exit %d, want 1", code)
+	if !bytes.Equal(before, after) {
+		t.Error("the baseline was rewritten")
 	}
 }
 
-func TestGatePromotesOverLegacyBaseline(t *testing.T) {
-	basePath := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(basePath, []byte(`[]`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stderr := exec(t, "-gate", basePath, baseFixture)
-	if code != 0 {
-		t.Fatalf("exit = %d\nstderr: %s", code, stderr)
-	}
-	promoted, err := bench.ReadFile(basePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if promoted.Legacy() {
-		t.Error("legacy baseline was not replaced")
-	}
+func TestMissingBaselineNamesRerecordCommand(t *testing.T) {
+	assertRerecordRefusal(t, filepath.Join(t.TempDir(), "baseline.json"))
+}
+
+func TestIncomparableBaselineNamesRerecordCommand(t *testing.T) {
+	t.Run("legacy", func(t *testing.T) {
+		basePath := filepath.Join(t.TempDir(), "baseline.json")
+		if err := os.WriteFile(basePath, []byte(`[]`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		assertRerecordRefusal(t, basePath)
+	})
+	t.Run("host-mismatch", func(t *testing.T) {
+		f, err := bench.ReadFile(baseFixture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Host.NumCPU++
+		basePath := filepath.Join(t.TempDir(), "baseline.json")
+		var buf bytes.Buffer
+		if err := f.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(basePath, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		assertRerecordRefusal(t, basePath)
+	})
 }
 
 func TestRejectsLegacyCandidate(t *testing.T) {
@@ -119,8 +137,5 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if code, _, _ := exec(t, "-no-such-flag", baseFixture, baseFixture); code != 2 {
 		t.Errorf("bad flag: exit %d, want 2", code)
-	}
-	if code, _, _ := exec(t, "missing.json", baseFixture); code != 2 {
-		t.Errorf("missing baseline without -gate: exit %d, want 2", code)
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"spray/internal/bench"
 	"spray/internal/cliutil"
 	"spray/internal/experiments"
-	"spray/internal/hotspot"
 	"spray/internal/sparse"
 	"spray/internal/telemetry"
 )
@@ -37,7 +36,6 @@ func main() {
 		schedule   = flag.String("schedule", "", "loop schedule for the conv and tmv figure sweeps (spray.ParseSchedule form, e.g. steal or dynamic:8; default static) — rerun with different values to compare schedules across the bench CSVs")
 		metrics    = flag.Bool("metrics", false, "instrument the conv figures: print a telemetry region report per measured point (stderr) and attach counters to CSV-adjacent data")
 		tracePath  = flag.String("trace", "", "record span timelines for the conv figures and write them as Chrome trace-event JSON to this path")
-		hotPath    = flag.String("hotprofile", "", "attach the index-space contention profiler to the conv sweeps and write the sampled hot-line profiles (JSON array) to this path")
 		prof       cliutil.Profiling
 	)
 	prof.AddFlags(flag.CommandLine)
@@ -65,16 +63,6 @@ func main() {
 		sink = telemetry.NewTraceSink(0)
 	}
 
-	var hotProfiles []*spray.HotspotProfile
-	var onHot func(label string, p *spray.HotspotProfile)
-	if *hotPath != "" {
-		onHot = func(label string, p *spray.HotspotProfile) {
-			if p != nil {
-				hotProfiles = append(hotProfiles, p)
-			}
-		}
-	}
-
 	var sched spray.Schedule // zero value: static, the paper's setup
 	if *schedule != "" {
 		sched, err = spray.ParseSchedule(*schedule)
@@ -88,7 +76,6 @@ func main() {
 	convCfg.Instrument = *metrics
 	convCfg.OnReport = onReport
 	convCfg.Trace = sink
-	convCfg.HotProfile = onHot
 	emit(experiments.Fig11(convCfg), *outdir, "fig11.csv")
 	emit(experiments.Fig12(convCfg), *outdir, "fig12.csv")
 	f13 := experiments.DefaultFig13Config(convN, *maxThreads)
@@ -127,10 +114,6 @@ func main() {
 	// Beyond-paper strategies on the conv kernel.
 	emit(experiments.Extensions(convCfg), *outdir, "extensions.csv")
 
-	if *hotPath != "" {
-		fatalIf(hotspot.WriteProfiles(*hotPath, hotProfiles))
-		fmt.Fprintf(os.Stderr, "wrote %s (%d hot-line profiles)\n", *hotPath, len(hotProfiles))
-	}
 	if sink != nil {
 		f, err := os.Create(*tracePath)
 		fatalIf(err)

@@ -8,15 +8,7 @@
 //	spraybulk -n 2000000 -max-threads 8
 //	spraybulk -workload tmv -json results/BENCH_bulk.json
 //
-// -hotprofile attaches the index-space contention profiler to every
-// measured configuration and writes the sampled hot-line profiles as a
-// JSON array; feed the file to sprayadvise -profile for a
-// profile-guided strategy recommendation:
-//
-//	spraybulk -workload conv -hotprofile hot.json
-//	sprayadvise -profile hot.json
-//
-// Both commands accept -cpuprofile / -memprofile to capture pprof
+// It accepts -cpuprofile / -memprofile to capture pprof
 // profiles of the run.
 package main
 
@@ -31,7 +23,6 @@ import (
 	"spray/internal/bench"
 	"spray/internal/cliutil"
 	"spray/internal/experiments"
-	"spray/internal/hotspot"
 	"spray/internal/telemetry"
 )
 
@@ -47,7 +38,6 @@ func main() {
 		minTime    = flag.Duration("min-time", 100*time.Millisecond, "minimum time per sample")
 		jsonPath   = flag.String("json", "results/BENCH_bulk.json", "write results as JSON to this path (empty = skip)")
 		metrics    = flag.Bool("metrics", false, "instrument every run: print a telemetry region report per measured point and attach the counters to the JSON output")
-		hotPath    = flag.String("hotprofile", "", "attach the index-space contention profiler and write the sampled hot-line profiles (JSON array, one per measured configuration) to this path")
 		tracePath  = flag.String("trace", "", "record span timelines and write them as Chrome trace-event JSON to this path (chrome://tracing, ui.perfetto.dev)")
 		prof       cliutil.Profiling
 	)
@@ -67,14 +57,6 @@ func main() {
 		cfg.Telemetry = true
 		cfg.OnReport = func(label string, rep spray.RegionReport) {
 			fmt.Printf("-- %s --\n%s\n", label, rep)
-		}
-	}
-	var hotProfiles []*spray.HotspotProfile
-	if *hotPath != "" {
-		cfg.HotProfile = func(label string, p *spray.HotspotProfile) {
-			if p != nil {
-				hotProfiles = append(hotProfiles, p)
-			}
 		}
 	}
 	if *threads != "" {
@@ -140,10 +122,6 @@ func main() {
 		fatalIf(bench.WriteJSON(f, results))
 		fatalIf(f.Close())
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
-	}
-	if *hotPath != "" {
-		fatalIf(hotspot.WriteProfiles(*hotPath, hotProfiles))
-		fmt.Fprintf(os.Stderr, "wrote %s (%d hot-line profiles)\n", *hotPath, len(hotProfiles))
 	}
 	if sink != nil {
 		f, err := os.Create(*tracePath)

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"spray/internal/hotspot"
 	"spray/internal/num"
 	"spray/internal/par"
 	"spray/internal/telemetry"
@@ -47,7 +46,6 @@ func NewAtomic[T num.Float](out []T, threads int) *Atomic[T] {
 type atomicPrivate[T num.Float] struct {
 	out []T
 	tel *telemetry.Shard
-	hot *hotspot.Shard
 }
 
 func (p *atomicPrivate[T]) Add(i int, v T) {
@@ -63,9 +61,6 @@ func (p *atomicPrivate[T]) Add(i int, v T) {
 		retries = num.AtomicAddRetries(p.out, i, v)
 	}
 	p.tel.Add(telemetry.CASRetries, retries)
-	if retries > 0 {
-		p.hot.RecordW(hotspot.CASRetry, i, uint64(retries))
-	}
 }
 
 // AddN keeps per-element CAS (two threads may still race on the same
@@ -84,16 +79,9 @@ func (p *atomicPrivate[T]) AddN(base int, vals []T) {
 	if len(vals) > 0 && p.tel.Sample(telemetry.CASLatency) {
 		retries += casTimed(p.tel, dst, 0, vals[0])
 		j0 = 1
-		if retries > 0 {
-			p.hot.RecordW(hotspot.CASRetry, base, uint64(retries))
-		}
 	}
 	for j := j0; j < len(vals); j++ {
-		r := num.AtomicAddRetries(dst, j, vals[j])
-		retries += r
-		if r > 0 {
-			p.hot.RecordW(hotspot.CASRetry, base+j, uint64(r))
-		}
+		retries += num.AtomicAddRetries(dst, j, vals[j])
 	}
 	p.tel.Add(telemetry.CASRetries, retries)
 }
@@ -112,16 +100,9 @@ func (p *atomicPrivate[T]) Scatter(idx []int32, vals []T) {
 	if len(idx) > 0 && p.tel.Sample(telemetry.CASLatency) {
 		retries += casTimed(p.tel, out, int(idx[0]), vals[0])
 		j0 = 1
-		if retries > 0 {
-			p.hot.RecordW(hotspot.CASRetry, int(idx[0]), uint64(retries))
-		}
 	}
 	for j := j0; j < len(idx); j++ {
-		r := num.AtomicAddRetries(out, int(idx[j]), vals[j])
-		retries += r
-		if r > 0 {
-			p.hot.RecordW(hotspot.CASRetry, int(idx[j]), uint64(r))
-		}
+		retries += num.AtomicAddRetries(out, int(idx[j]), vals[j])
 	}
 	p.tel.Add(telemetry.CASRetries, retries)
 }
@@ -130,8 +111,7 @@ func (p *atomicPrivate[T]) Done() {}
 
 // Private returns an accessor that updates the shared array directly.
 func (a *Atomic[T]) Private(tid int) Private[T] {
-	sh := a.tel.Shard(tid)
-	a.privs[tid] = atomicPrivate[T]{out: a.out, tel: sh, hot: sh.Hot()}
+	a.privs[tid] = atomicPrivate[T]{out: a.out, tel: a.tel.Shard(tid)}
 	return &a.privs[tid]
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 	"unsafe"
 
-	"spray/internal/hotspot"
 	"spray/internal/memtrack"
 	"spray/internal/num"
 	"spray/internal/par"
@@ -133,7 +132,6 @@ type blockPrivate[T num.Float] struct {
 	fallbk   []privBlock[T]
 	pool     [][]T // full-size fallback buffers recycled from earlier regions
 	tel      *telemetry.Shard
-	hot      *hotspot.Shard
 }
 
 // Add accumulates into the block view. An index inside the window costs
@@ -259,11 +257,6 @@ func (p *blockPrivate[T]) resolve(b int) []T {
 	}
 	if view == nil { // BlockPrivate mode, or the block is owned elsewhere
 		p.tel.Inc(telemetry.BlockFallbacks)
-		if parent.mode != BlockPrivate {
-			// Contended claim (lost CAS race or lock found an owner):
-			// attribute one contention event to the block's base line.
-			p.hot.Record(hotspot.BlockContention, base)
-		}
 		need := end - base
 		if n := len(p.pool); n > 0 {
 			view = p.pool[n-1][:need] // pooled buffers have cap >= bsize
@@ -298,7 +291,6 @@ func (bl *Block[T]) Private(tid int) Private[T] {
 	p.shift = bl.shift
 	p.lastBase, p.lastView = 0, nil
 	p.tel = bl.tel.Shard(tid)
-	p.hot = p.tel.Hot()
 	p.fallbk = p.fallbk[:0]
 	return p
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 	"unsafe"
 
-	"spray/internal/hotspot"
 	"spray/internal/memtrack"
 	"spray/internal/num"
 	"spray/internal/par"
@@ -120,7 +119,6 @@ type keeperPrivate[T num.Float] struct {
 	// to the parent counter; growth is charged as it happens.
 	charged int64
 	tel     *telemetry.Shard
-	hot     *hotspot.Shard
 	// dwellAt stamps, per destination owner, the first foreign enqueue
 	// of the current region; the drain turns the stamps into
 	// keeper-dwell samples. Allocated only while instrumented, so the
@@ -152,7 +150,6 @@ func (p *keeperPrivate[T]) Add(i int, v T) {
 		return
 	}
 	p.tel.Inc(telemetry.KeeperForeign)
-	p.hot.Record(hotspot.KeeperForeign, i)
 	p.stampDwell(o)
 	qi, qv := p.qIdx[o], p.qVal[o]
 	ci, cv := cap(qi), cap(qv)
@@ -181,7 +178,6 @@ func (p *keeperPrivate[T]) AddN(base int, vals []T) {
 			addInto(p.out[base:base+n], vals)
 		} else {
 			p.tel.Add(telemetry.KeeperForeign, n)
-			p.hot.RecordRun(hotspot.KeeperForeign, base, n)
 			p.stampDwell(o)
 			qi, qv := p.qIdx[o], p.qVal[o]
 			ci, cv := cap(qi), cap(qv)
@@ -230,7 +226,6 @@ func (p *keeperPrivate[T]) Scatter(idx []int32, vals []T) {
 // copied; callers may reuse them) and publishes the queue to the owner's
 // mailbox once it passes the publication threshold.
 func (p *keeperPrivate[T]) enqueue(o int, idx []int32, vals []T) {
-	p.hot.RecordBatch(hotspot.KeeperForeign, idx)
 	p.stampDwell(o)
 	qi, qv := p.qIdx[o], p.qVal[o]
 	ci, cv := cap(qi), cap(qv)
@@ -337,7 +332,6 @@ func (p *keeperPrivate[T]) Done() {
 func (k *Keeper[T]) Private(tid int) Private[T] {
 	p := &k.privs[tid]
 	p.tel = k.tel.Shard(tid)
-	p.hot = p.tel.Hot()
 	if p.tel != nil {
 		if p.dwellAt == nil {
 			p.dwellAt = make([]time.Time, k.threads)

@@ -30,15 +30,6 @@ type BulkConfig struct {
 	// configuration into the sink (both the each and bulk passes land in
 	// the same process, named "<workload>/<strategy> t=<threads>").
 	Trace *telemetry.TraceSink
-
-	// HotProfile, when set, attaches the index-space contention profiler
-	// (implying Telemetry) and delivers one sampled profile per
-	// (strategy, threads) configuration, labeled "<strategy> t=<threads>".
-	// Each point resets the counters and sketches, so the profile covers
-	// the last measured window (the bulk pass). Hotspot tunes the
-	// sampling; the zero value uses the profiler defaults.
-	HotProfile func(label string, p *spray.HotspotProfile)
-	Hotspot    spray.HotspotOptions
 }
 
 // DefaultBulkConfig selects the strategies where the batch path has a
@@ -96,11 +87,8 @@ func BulkConv(cfg BulkConfig) *bench.Result {
 			}
 			r := spray.New(st, out, th)
 			var in *spray.Instrumentation
-			if cfg.Telemetry || cfg.HotProfile != nil {
+			if cfg.Telemetry {
 				in = spray.Instrument(team, r)
-				if cfg.HotProfile != nil {
-					in.EnableHotspot(cfg.N, cfg.Hotspot)
-				}
 			}
 			each := bulkPoint(cfg, in, th, st.String()+"/each", func(iters int) {
 				for i := 0; i < iters; i++ {
@@ -117,9 +105,6 @@ func BulkConv(cfg BulkConfig) *bench.Result {
 			bulk.Bytes = r.PeakBytes()
 			res.AddPoint(st.String()+"/bulk", bulk)
 			if in != nil {
-				if cfg.HotProfile != nil {
-					cfg.HotProfile(fmt.Sprintf("%s t=%d", st, th), in.HotspotProfile())
-				}
 				in.Detach()
 			}
 			team.Close()
@@ -151,11 +136,8 @@ func BulkTMV(cfg BulkConfig) *bench.Result {
 			}
 			r := spray.New(st, y, th)
 			var in *spray.Instrumentation
-			if cfg.Telemetry || cfg.HotProfile != nil {
+			if cfg.Telemetry {
 				in = spray.Instrument(team, r)
-				if cfg.HotProfile != nil {
-					in.EnableHotspot(a.Cols, cfg.Hotspot)
-				}
 			}
 			each := bulkPoint(cfg, in, th, st.String()+"/each", func(iters int) {
 				for i := 0; i < iters; i++ {
@@ -172,9 +154,6 @@ func BulkTMV(cfg BulkConfig) *bench.Result {
 			bulk.Bytes = r.PeakBytes()
 			res.AddPoint(st.String()+"/bulk", bulk)
 			if in != nil {
-				if cfg.HotProfile != nil {
-					cfg.HotProfile(fmt.Sprintf("%s t=%d", st, th), in.HotspotProfile())
-				}
 				in.Detach()
 			}
 			team.Close()

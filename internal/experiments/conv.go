@@ -40,14 +40,6 @@ type ConvConfig struct {
 	// process named "<strategy> t=<threads>" with one timeline row per
 	// team member. Write the collected timelines with Trace.WriteChrome.
 	Trace *telemetry.TraceSink
-
-	// HotProfile, when set, attaches the index-space contention profiler
-	// (implying Instrument) and delivers one sampled profile per
-	// (strategy, threads) run, labeled "<strategy> t=<threads>", covering
-	// the measured window. Hotspot tunes the sampling; the zero value
-	// uses the profiler defaults.
-	HotProfile func(label string, p *spray.HotspotProfile)
-	Hotspot    spray.HotspotOptions
 }
 
 // DefaultConvConfig returns the paper's setup scaled by size (pass the
@@ -116,11 +108,8 @@ func Fig11(cfg ConvConfig) *bench.Result {
 			}
 			r := spray.New(st, out, th)
 			var in *spray.Instrumentation
-			if cfg.Instrument || cfg.HotProfile != nil {
+			if cfg.Instrument {
 				in = spray.Instrument(team, r)
-				if cfg.HotProfile != nil {
-					in.EnableHotspot(cfg.N, cfg.Hotspot)
-				}
 			}
 			summary := cfg.Runner.AutoBench(func(iters int) {
 				for i := 0; i < iters; i++ {
@@ -133,9 +122,6 @@ func Fig11(cfg ConvConfig) *bench.Result {
 				p.Counters = rep.CounterMap()
 				if cfg.OnReport != nil {
 					cfg.OnReport(fmt.Sprintf("%s t=%d", st, th), rep)
-				}
-				if cfg.HotProfile != nil {
-					cfg.HotProfile(fmt.Sprintf("%s t=%d", st, th), in.HotspotProfile())
 				}
 				in.Detach()
 			}

@@ -200,55 +200,3 @@ func TestExtensionsExperiment(t *testing.T) {
 		t.Errorf("ordered bytes %d not above block %d", orderedBytes, blockBytes)
 	}
 }
-
-// TestHotspotProfileHook checks that the experiment drivers deliver one
-// contention profile per measured configuration when HotProfile is set
-// (implying instrumentation), with the keeper's cross-boundary traffic
-// visible in the conv profiles.
-func TestHotspotProfileHook(t *testing.T) {
-	cfg := quickConvConfig()
-	var labels []string
-	profiles := map[string]*spray.HotspotProfile{}
-	cfg.HotProfile = func(label string, p *spray.HotspotProfile) {
-		labels = append(labels, label)
-		profiles[label] = p
-	}
-	cfg.Hotspot = spray.HotspotOptions{SamplePeriod: 1}
-	Fig11(cfg)
-	if want := len(cfg.Strategies) * len(cfg.Threads); len(labels) != want {
-		t.Fatalf("profiles delivered = %d (%v), want %d", len(labels), labels, want)
-	}
-	p := profiles["keeper t=2"]
-	if p == nil {
-		t.Fatalf("no keeper t=2 profile in %v", labels)
-	}
-	if p.Strategy != "keeper" || p.Threads != 2 {
-		t.Errorf("profile identity %q/%d", p.Strategy, p.Threads)
-	}
-	if p.Updates == 0 {
-		t.Error("profile has no update denominator")
-	}
-	if p.Totals["keeper-foreign"] == 0 {
-		t.Error("keeper t=2 conv profile saw no cross-boundary traffic")
-	}
-	if one := profiles["keeper t=1"]; one == nil || one.TotalConflicts() != 0 {
-		t.Errorf("keeper t=1 should profile zero conflicts, got %+v", one)
-	}
-
-	// The bulk driver delivers under the same labels.
-	bcfg := DefaultBulkConfig(10_000, 2)
-	bcfg.Runner = quickRunner()
-	bcfg.Strategies = []spray.Strategy{spray.Keeper()}
-	seen := 0
-	bcfg.HotProfile = func(label string, p *spray.HotspotProfile) {
-		seen++
-		if p == nil {
-			t.Errorf("nil profile for %s", label)
-		}
-	}
-	bcfg.Hotspot = spray.HotspotOptions{SamplePeriod: 1}
-	BulkConv(bcfg)
-	if want := len(bcfg.Strategies) * len(bcfg.Threads); seen != want {
-		t.Fatalf("bulk profiles delivered = %d, want %d", seen, want)
-	}
-}

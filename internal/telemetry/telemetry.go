@@ -23,8 +23,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
-
-	"spray/internal/hotspot"
 )
 
 // Kind enumerates the event counters a strategy can report. One shard
@@ -146,7 +144,7 @@ type histSlot struct {
 // sampling slots; the pad rounds the struct up to a multiple of 128 bytes
 // (two cache lines, so adjacent-line prefetching cannot couple
 // neighboring shards either).
-const shardPayload = int(NumKinds)*8 + int(NumHKinds)*(HistBuckets+3)*8 + int(NumHKinds)*8 + 8
+const shardPayload = int(NumKinds)*8 + int(NumHKinds)*(HistBuckets+3)*8 + int(NumHKinds)*8
 
 // Shard is one thread's private counter block. All increment methods are
 // nil-safe — a nil *Shard is the "telemetry off" state and costs one
@@ -155,11 +153,6 @@ const shardPayload = int(NumKinds)*8 + int(NumHKinds)*(HistBuckets+3)*8 + int(Nu
 type Shard struct {
 	c [NumKinds]atomic.Uint64
 	h [NumHKinds]histSlot
-	// hot is this thread's index-space contention profiler shard, nil
-	// unless a Profiler is attached (AttachHotspot). It rides inside the
-	// telemetry shard so strategies resolve both gates with the one
-	// Shard(tid) call they already make in Private.
-	hot *hotspot.Shard
 	// The pad sits before the last field: a zero-length array at the end
 	// of a struct would itself be padded (to keep past-the-end pointers
 	// out of the next object), breaking the 128-byte rounding exactly
@@ -200,17 +193,6 @@ func (s *Shard) Count(k Kind) uint64 {
 		return 0
 	}
 	return s.c[k].Load()
-}
-
-// Hot returns the attached hotspot shard, or nil when the shard itself
-// is nil or no profiler is attached. Strategies cache the result next
-// to their telemetry shard in Private, so the profiler-off path is one
-// predictable nil check per conflict event.
-func (s *Shard) Hot() *hotspot.Shard {
-	if s == nil {
-		return nil
-	}
-	return s.hot
 }
 
 // Sample reports whether the next event of latency kind k should be
@@ -331,19 +313,6 @@ func (r *Recorder) Shard(tid int) *Shard {
 		return nil
 	}
 	return &r.shards[tid]
-}
-
-// AttachHotspot points every shard at the matching shard of the given
-// index-space contention profiler (nil detaches). Call it from the same
-// setup context that attaches the recorder itself — before the team
-// runs regions — so accessors resolve a settled pointer in Private.
-func (r *Recorder) AttachHotspot(p *hotspot.Profiler) {
-	if r == nil {
-		return
-	}
-	for t := range r.shards {
-		r.shards[t].hot = p.Shard(t)
-	}
 }
 
 // Snapshot sums all shards into one consistent-enough view (counters are

@@ -6,10 +6,8 @@ import (
 	"io"
 	"strings"
 	"time"
-	"unsafe"
 
 	"spray/internal/core"
-	"spray/internal/hotspot"
 	"spray/internal/par"
 	"spray/internal/telemetry"
 )
@@ -38,14 +36,12 @@ type WorkerPanic = par.WorkerPanic
 // running. Reducers built by New all support counters; a third-party
 // Reducer is still timed, its counters just stay zero.
 func Instrument[T Value](t *Team, r Reducer[T]) *Instrumentation {
-	var zero T
 	in := &Instrumentation{
-		rec:       telemetry.NewRecorder(r.Name(), t.Size()),
-		team:      t,
-		strategy:  r.Name(),
-		bytes:     r.Bytes,
-		peak:      r.PeakBytes,
-		lineElems: 64 / int(unsafe.Sizeof(zero)),
+		rec:      telemetry.NewRecorder(r.Name(), t.Size()),
+		team:     t,
+		strategy: r.Name(),
+		bytes:    r.Bytes,
+		peak:     r.PeakBytes,
 	}
 	if ir, ok := r.(core.Instrumentable); ok {
 		ir.Instrument(in.rec)
@@ -83,61 +79,6 @@ type Instrumentation struct {
 	ownsTeamRec bool
 	tracer      *telemetry.Tracer
 	ownsTracer  bool
-	lineElems   int
-	hot         *hotspot.Profiler
-}
-
-// HotspotOptions re-exports the contention profiler's configuration;
-// the zero value selects the defaults (4x1024 count-min sketch, top-32
-// candidate table, 1-in-64 sampling).
-type HotspotOptions = hotspot.Options
-
-// HotspotProfiler re-exports the profiler handle for embedders that
-// drive snapshots themselves.
-type HotspotProfiler = hotspot.Profiler
-
-// HotspotProfile re-exports the serializable aggregate the profiler
-// produces — what -hotprofile writes and sprayadvise -profile consumes.
-type HotspotProfile = hotspot.Profile
-
-// EnableHotspot attaches the index-space contention profiler to the
-// instrumented reducer: conflict events (CAS retries, block claim
-// contention, keeper foreign submissions) are attributed to
-// cache-line-granularity regions of the n-element output array through
-// per-thread count-min sketches.
-// n must be the length of the reduced array. A zero Options.LineElems
-// defaults to the instrumented element type's cache-line width
-// (64/sizeof(T)). Idempotent: a second call returns the existing
-// profiler. Must not be called while a region is running.
-func (in *Instrumentation) EnableHotspot(n int, opts HotspotOptions) *HotspotProfiler {
-	if in.hot != nil {
-		return in.hot
-	}
-	if opts.LineElems <= 0 {
-		opts.LineElems = in.lineElems
-	}
-	in.hot = hotspot.New(in.strategy, n, in.rec.Threads(), opts)
-	in.rec.AttachHotspot(in.hot)
-	return in.hot
-}
-
-// Hotspot returns the attached contention profiler, or nil if
-// EnableHotspot was never called.
-func (in *Instrumentation) Hotspot() *HotspotProfiler { return in.hot }
-
-// HotspotProfile snapshots the attached profiler into its serializable
-// aggregate, with the telemetry update count — element-wise Adds plus
-// elements delivered through AddN/Scatter batches — filled in as the
-// conflict rate denominator. Returns nil if EnableHotspot was never
-// called.
-func (in *Instrumentation) HotspotProfile() *HotspotProfile {
-	if in.hot == nil {
-		return nil
-	}
-	p := in.hot.Snapshot()
-	snap := in.rec.Snapshot()
-	p.Updates = snap.Get(telemetry.Updates) + snap.Get(telemetry.BulkElems)
-	return p
 }
 
 // EnableTrace turns on span tracing for the instrumented team: every
@@ -211,12 +152,10 @@ func (in *Instrumentation) Report() RegionReport {
 // imbalance at the counter level (e.g. which member ate the CAS retries).
 func (in *Instrumentation) PerThread() []telemetry.Snapshot { return in.rec.PerThread() }
 
-// Reset zeroes the counters, the timing accumulator, and the contention
-// profiler's sketches when one is attached.
+// Reset zeroes the counters and the timing accumulator.
 func (in *Instrumentation) Reset() {
 	in.rec.Reset()
 	in.tm.Reset()
-	in.hot.Reset()
 }
 
 // Detach disconnects the telemetry: the reducer returns to its
