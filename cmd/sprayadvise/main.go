@@ -41,12 +41,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	w := stdout
 	workloads := map[string]func(){
-		"conv":      func() { conv(w, *size, *threads, *block) },
-		"tmv":       func() { tmv(w, *size/10, *threads, *block) },
-		"graph":     func() { graph(w, *size/10, *threads, *block) },
-		"histogram": func() { histogram(w, *size, *threads, *block) },
+		"conv":      func() { conv(stdout, *size, *threads, *block) },
+		"tmv":       func() { tmv(stdout, *size/10, *threads, *block) },
+		"graph":     func() { graph(stdout, *size/10, *threads, *block) },
+		"histogram": func() { histogram(stdout, *size, *threads, *block) },
 	}
 	if *workload == "all" {
 		for _, name := range []string{"conv", "tmv", "graph", "histogram"} {

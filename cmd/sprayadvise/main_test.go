@@ -38,12 +38,9 @@ func TestBuiltinWorkloadPicks(t *testing.T) {
 	}
 }
 
-func TestRejectsBadArguments(t *testing.T) {
+func TestRejectsUnknownWorkload(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-workload", "nope"}, &out, &errb); code != 1 || !strings.Contains(errb.String(), `unknown workload "nope"`) {
 		t.Errorf("exit %d, stderr: %s", code, errb.String())
-	}
-	if code := run([]string{"-profile", "hot.json"}, &out, &errb); code != 2 {
-		t.Errorf("-profile: exit %d, want 2 (the flag no longer exists)", code)
 	}
 }

@@ -8,8 +8,8 @@
 //	spraybulk -n 2000000 -max-threads 8
 //	spraybulk -workload tmv -json results/BENCH_bulk.json
 //
-// It accepts -cpuprofile / -memprofile to capture pprof
-// profiles of the run.
+// It accepts -cpuprofile / -memprofile to capture pprof profiles of the
+// run.
 package main
 
 import (
