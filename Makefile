@@ -49,16 +49,16 @@ race:
 	$(GO) test -race ./...
 
 # race-telemetry focuses the race detector on the observability layer
-# and the concurrent scatter machinery: counter shards, region timing,
-# latency histograms, trace rings, panic wrapping, the keeper mailbox
+# and the concurrent scatter machinery: counter shards and their live
+# snapshots, region timing, panic wrapping, the keeper mailbox
 # publish/drain protocol, and the work-stealing loop runtime (chunk
 # deques, the stealer protocol, the adaptive grain controller).
 race-telemetry:
-	$(GO) test -race -short -run 'Telemetry|Instrument|Timing|WorkerPanic|Concurrent|Trace|Hist|Sample|Latency|Mailbox|Drain|Steal|Deque|Grain' ./internal/telemetry ./internal/par ./internal/core ./internal/memtrack ./internal/experiments .
+	$(GO) test -race -short -run 'Telemetry|Instrument|Timing|WorkerPanic|Concurrent|Mailbox|Drain|Steal|Deque|Grain' ./internal/telemetry ./internal/par ./internal/core ./internal/memtrack ./internal/experiments .
 
 # deps-check keeps the module free of a live-serving surface: no package
 # may import net/http, expvar or os/signal. Telemetry is read through
-# Report, the bench JSON and -trace files instead.
+# Report and the bench JSON instead.
 deps-check:
 	@bad=$$($(GO) list -deps ./... | grep -E '^(net/http|expvar|os/signal)$$' || true); \
 	if [ -n "$$bad" ]; then \
@@ -76,12 +76,12 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkBulk|BenchmarkAblationAddDispatch|BenchmarkFig14S3DKT3M2' -benchtime 100x .
 	$(GO) test -run '^$$' -bench 'BenchmarkRegionJoin|BenchmarkRegionDispatch' -benchtime 100x ./internal/par
 
-# overhead-smoke asserts the telemetry-off budget (the gated accessor must
-# stay within 2% of an ungated replica), the zero-steady-state-alloc
-# contract of the off paths (the steal-schedule counters included: a
-# steal loop with telemetry off must not allocate in steady state; nor
-# may a telemetry-off Team.Run), and exercises the off/on conv
-# benchmark once.
+# overhead-smoke asserts the telemetry-off budget (the counter-gated
+# accessor must stay within 2% of an ungated replica), the
+# zero-steady-state-alloc contract of the off paths (the steal-schedule
+# counters included: a steal loop with telemetry off must not allocate
+# in steady state; nor may a telemetry-off Team.Run), and exercises the
+# off/on conv benchmark once.
 overhead-smoke:
 	$(GO) test -run TestTelemetryOffOverhead -count 1 ./internal/core
 	$(GO) test -run TestOffPathSamplingGateNoAlloc -count 1 ./internal/core

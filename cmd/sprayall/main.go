@@ -23,7 +23,6 @@ import (
 	"spray/internal/cliutil"
 	"spray/internal/experiments"
 	"spray/internal/sparse"
-	"spray/internal/telemetry"
 )
 
 func main() {
@@ -35,7 +34,6 @@ func main() {
 		minTime    = flag.Duration("min-time", 100*time.Millisecond, "minimum time per sample")
 		schedule   = flag.String("schedule", "", "loop schedule for the conv and tmv figure sweeps (spray.ParseSchedule form, e.g. steal or dynamic:8; default static) — rerun with different values to compare schedules across the bench CSVs")
 		metrics    = flag.Bool("metrics", false, "instrument the conv figures: print a telemetry region report per measured point (stderr) and attach counters to CSV-adjacent data")
-		tracePath  = flag.String("trace", "", "record span timelines for the conv figures and write them as Chrome trace-event JSON to this path")
 		prof       cliutil.Profiling
 	)
 	prof.AddFlags(flag.CommandLine)
@@ -58,11 +56,6 @@ func main() {
 		}
 	}
 
-	var sink *telemetry.TraceSink
-	if *tracePath != "" {
-		sink = telemetry.NewTraceSink(0)
-	}
-
 	var sched spray.Schedule // zero value: static, the paper's setup
 	if *schedule != "" {
 		sched, err = spray.ParseSchedule(*schedule)
@@ -75,14 +68,12 @@ func main() {
 	convCfg.Runner = runner
 	convCfg.Instrument = *metrics
 	convCfg.OnReport = onReport
-	convCfg.Trace = sink
 	emit(experiments.Fig11(convCfg), *outdir, "fig11.csv")
 	emit(experiments.Fig12(convCfg), *outdir, "fig12.csv")
 	f13 := experiments.DefaultFig13Config(convN, *maxThreads)
 	f13.Runner = runner
 	f13.Instrument = *metrics
 	f13.OnReport = onReport
-	f13.Trace = sink
 	emit(experiments.Fig13(f13), *outdir, "fig13.csv")
 
 	// Figures 14-15: transpose-matrix-vector products.
@@ -114,13 +105,6 @@ func main() {
 	// Beyond-paper strategies on the conv kernel.
 	emit(experiments.Extensions(convCfg), *outdir, "extensions.csv")
 
-	if sink != nil {
-		f, err := os.Create(*tracePath)
-		fatalIf(err)
-		fatalIf(sink.WriteChrome(f))
-		fatalIf(f.Close())
-		fmt.Fprintf(os.Stderr, "wrote %s (%d timelines, %d dropped events)\n", *tracePath, sink.Len(), sink.Dropped())
-	}
 	fatalIf(stopProf())
 }
 

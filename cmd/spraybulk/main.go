@@ -1,12 +1,13 @@
 // Command spraybulk measures the bulk-update fast path: each strategy
-// runs the conv back-propagation and transpose-matrix-vector workloads
-// twice — element-wise (one Add per update) and batched (AddN/Scatter) —
-// and reports both series side by side.
+// runs the conv back-propagation and the power-law graph push (the
+// transpose product of sparse.Graph, the pattern sprayadvise -workload
+// graph records) twice — element-wise (one Add per update) and batched
+// (AddN/Scatter) — and reports both series side by side.
 //
 // Usage:
 //
 //	spraybulk -n 2000000 -max-threads 8
-//	spraybulk -workload tmv -json results/BENCH_bulk.json
+//	spraybulk -workload graph -json results/BENCH_bulk.json
 //
 // It accepts -cpuprofile / -memprofile to capture pprof profiles of the
 // run.
@@ -23,22 +24,20 @@ import (
 	"spray/internal/bench"
 	"spray/internal/cliutil"
 	"spray/internal/experiments"
-	"spray/internal/telemetry"
 )
 
 func main() {
 	var (
-		n          = flag.Int("n", 2_000_000, "conv array length / tmv node count")
+		n          = flag.Int("n", 2_000_000, "conv array length / graph node count")
 		maxThreads = flag.Int("max-threads", 8, "largest thread count in the sweep")
 		threads    = flag.String("threads", "", "explicit comma-separated thread counts (overrides -max-threads)")
 		strategies = flag.String("strategies", "", "comma-separated strategy list (default: dense,atomic,block-cas,keeper)")
-		workload   = flag.String("workload", "all", "workload to run: conv, tmv, imbalance or all")
+		workload   = flag.String("workload", "all", "workload to run: conv, graph, imbalance or all")
 		schedules  = flag.String("schedule", "", "comma-separated loop schedules for the imbalance workload's comparison series (spray.ParseSchedule forms, e.g. static,dynamic:8,guided,steal:4096; default static,dynamic,guided,steal)")
 		repeats    = flag.Int("repeats", 3, "samples per configuration")
 		minTime    = flag.Duration("min-time", 100*time.Millisecond, "minimum time per sample")
 		jsonPath   = flag.String("json", "results/BENCH_bulk.json", "write results as JSON to this path (empty = skip)")
 		metrics    = flag.Bool("metrics", false, "instrument every run: print a telemetry region report per measured point and attach the counters to the JSON output")
-		tracePath  = flag.String("trace", "", "record span timelines and write them as Chrome trace-event JSON to this path (chrome://tracing, ui.perfetto.dev)")
 		prof       cliutil.Profiling
 	)
 	prof.AddFlags(flag.CommandLine)
@@ -48,11 +47,6 @@ func main() {
 
 	cfg := experiments.DefaultBulkConfig(*n, *maxThreads)
 	cfg.Runner = bench.Runner{Repeats: *repeats, MinTime: *minTime}
-	var sink *telemetry.TraceSink
-	if *tracePath != "" {
-		sink = telemetry.NewTraceSink(0)
-		cfg.Trace = sink
-	}
 	if *metrics {
 		cfg.Telemetry = true
 		cfg.OnReport = func(label string, rep spray.RegionReport) {
@@ -91,8 +85,8 @@ func main() {
 	switch *workload {
 	case "conv":
 		results = append(results, experiments.BulkConv(cfg))
-	case "tmv":
-		results = append(results, experiments.BulkTMV(cfg))
+	case "graph":
+		results = append(results, experiments.BulkGraph(cfg))
 	case "imbalance":
 		lres, err := experiments.ImbalanceLulesh(icfg)
 		fatalIf(err)
@@ -102,11 +96,11 @@ func main() {
 	case "all":
 		lres, err := experiments.ImbalanceLulesh(icfg)
 		fatalIf(err)
-		results = append(results, experiments.BulkConv(cfg), experiments.BulkTMV(cfg),
+		results = append(results, experiments.BulkConv(cfg), experiments.BulkGraph(cfg),
 			experiments.ImbalanceSkew(icfg), experiments.ImbalanceTMV(icfg),
 			lres, experiments.ImbalanceConv(icfg))
 	default:
-		fatalIf(fmt.Errorf("unknown workload %q (want conv, tmv, imbalance or all)", *workload))
+		fatalIf(fmt.Errorf("unknown workload %q (want conv, graph, imbalance or all)", *workload))
 	}
 	for _, res := range results {
 		res.WriteTable(os.Stdout)
@@ -122,13 +116,6 @@ func main() {
 		fatalIf(bench.WriteJSON(f, results))
 		fatalIf(f.Close())
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
-	}
-	if sink != nil {
-		f, err := os.Create(*tracePath)
-		fatalIf(err)
-		fatalIf(sink.WriteChrome(f))
-		fatalIf(f.Close())
-		fmt.Fprintf(os.Stderr, "wrote %s (%d timelines, %d dropped events)\n", *tracePath, sink.Len(), sink.Dropped())
 	}
 	fatalIf(stopProf())
 }

@@ -19,7 +19,6 @@ import (
 	"spray/internal/bench"
 	"spray/internal/cliutil"
 	"spray/internal/experiments"
-	"spray/internal/telemetry"
 )
 
 func main() {
@@ -33,8 +32,7 @@ func main() {
 		repeats    = flag.Int("repeats", 5, "samples per configuration")
 		minTime    = flag.Duration("min-time", 200*time.Millisecond, "minimum time per sample")
 		csvPath    = flag.String("csv", "", "also write results as CSV to this path")
-		metrics    = flag.Bool("instrument", false, "attach telemetry to every run: print a region report (counters + latency percentiles) per measured point to stderr")
-		tracePath  = flag.String("trace", "", "record span timelines and write them as Chrome trace-event JSON to this path (chrome://tracing, ui.perfetto.dev)")
+		metrics    = flag.Bool("instrument", false, "attach telemetry to every run: print a region report (counters and region timing) per measured point to stderr")
 	)
 	flag.Parse()
 
@@ -45,11 +43,6 @@ func main() {
 		cfg.OnReport = func(label string, rep spray.RegionReport) {
 			fmt.Fprintf(os.Stderr, "-- %s --\n%s\n", label, rep)
 		}
-	}
-	var sink *telemetry.TraceSink
-	if *tracePath != "" {
-		sink = telemetry.NewTraceSink(0)
-		cfg.Trace = sink
 	}
 	if *threads != "" {
 		ths, err := cliutil.ParseInts(*threads)
@@ -84,17 +77,6 @@ func main() {
 	}
 	res.WriteTable(os.Stdout)
 	writeCSV(res, *csvPath)
-	if sink != nil {
-		f, err := os.Create(*tracePath)
-		fatalIf(err)
-		fatalIf(sink.WriteChrome(f))
-		fatalIf(f.Close())
-		fmt.Fprintf(os.Stderr, "wrote %s (%d timelines", *tracePath, sink.Len())
-		if d := sink.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, ", %d dropped events", d)
-		}
-		fmt.Fprintln(os.Stderr, ")")
-	}
 }
 
 func writeCSV(res *bench.Result, path string) {

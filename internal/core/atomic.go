@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"spray/internal/num"
 	"spray/internal/par"
 	"spray/internal/telemetry"
@@ -23,19 +21,8 @@ type Atomic[T num.Float] struct {
 
 // Instrument attaches (nil: detaches) the telemetry recorder. Instrumented
 // accessors switch to the retry-counting CAS variants so contention shows
-// up as the cas-retries counter, and 1-in-N updates are additionally timed
-// into the cas-latency histogram.
+// up as the cas-retries counter.
 func (a *Atomic[T]) Instrument(rec *telemetry.Recorder) { a.tel = rec }
-
-// casTimed performs one CAS accumulation with the clock running and
-// feeds the elapsed time into the shard's cas-latency histogram. Only
-// called from instrumented paths on sampled events.
-func casTimed[T num.Float](sh *telemetry.Shard, out []T, i int, v T) (retries int) {
-	start := time.Now()
-	retries = num.AtomicAddRetries(out, i, v)
-	sh.Observe(telemetry.CASLatency, time.Since(start))
-	return retries
-}
 
 // NewAtomic wraps out for a team of the given size.
 func NewAtomic[T num.Float](out []T, threads int) *Atomic[T] {
@@ -54,13 +41,7 @@ func (p *atomicPrivate[T]) Add(i int, v T) {
 		return
 	}
 	p.tel.Inc(telemetry.Updates)
-	var retries int
-	if p.tel.Sample(telemetry.CASLatency) {
-		retries = casTimed(p.tel, p.out, i, v)
-	} else {
-		retries = num.AtomicAddRetries(p.out, i, v)
-	}
-	p.tel.Add(telemetry.CASRetries, retries)
+	p.tel.Add(telemetry.CASRetries, num.AtomicAddRetries(p.out, i, v))
 }
 
 // AddN keeps per-element CAS (two threads may still race on the same
@@ -75,13 +56,9 @@ func (p *atomicPrivate[T]) AddN(base int, vals []T) {
 		return
 	}
 	p.tel.IncRun(telemetry.AddNRuns, len(vals))
-	retries, j0 := 0, 0
-	if len(vals) > 0 && p.tel.Sample(telemetry.CASLatency) {
-		retries += casTimed(p.tel, dst, 0, vals[0])
-		j0 = 1
-	}
-	for j := j0; j < len(vals); j++ {
-		retries += num.AtomicAddRetries(dst, j, vals[j])
+	retries := 0
+	for j, v := range vals {
+		retries += num.AtomicAddRetries(dst, j, v)
 	}
 	p.tel.Add(telemetry.CASRetries, retries)
 }
@@ -96,13 +73,9 @@ func (p *atomicPrivate[T]) Scatter(idx []int32, vals []T) {
 		return
 	}
 	p.tel.IncRun(telemetry.ScatterRuns, len(idx))
-	retries, j0 := 0, 0
-	if len(idx) > 0 && p.tel.Sample(telemetry.CASLatency) {
-		retries += casTimed(p.tel, out, int(idx[0]), vals[0])
-		j0 = 1
-	}
-	for j := j0; j < len(idx); j++ {
-		retries += num.AtomicAddRetries(out, int(idx[j]), vals[j])
+	retries := 0
+	for j, i := range idx {
+		retries += num.AtomicAddRetries(out, int(i), vals[j])
 	}
 	p.tel.Add(telemetry.CASRetries, retries)
 }

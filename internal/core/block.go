@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"spray/internal/memtrack"
@@ -80,8 +79,7 @@ type Block[T num.Float] struct {
 
 // Instrument attaches (nil: detaches) the telemetry recorder. Instrumented
 // accessors additionally count block claims, claim-CAS losses, fallback
-// privatizations and pool reuses in acquire, and time every block
-// resolution into the claim-latency histogram.
+// privatizations and pool reuses in resolve.
 func (bl *Block[T]) Instrument(rec *telemetry.Recorder) { bl.tel = rec }
 
 // NewBlock wraps out for a team of the given size. blockSize must be a
@@ -152,7 +150,7 @@ func (p *blockPrivate[T]) addMiss(i int, v T) {
 	b := i >> p.shift
 	view := p.view[b]
 	if view == nil {
-		view = p.acquire(b)
+		view = p.resolve(b)
 	}
 	p.lastBase = b << p.shift
 	p.lastView = view
@@ -177,7 +175,7 @@ func (p *blockPrivate[T]) AddN(base int, vals []T) {
 		}
 		view := p.view[b]
 		if view == nil {
-			view = p.acquire(b)
+			view = p.resolve(b)
 		}
 		addInto(view[off:off+n], vals)
 		base += n
@@ -200,7 +198,7 @@ func (p *blockPrivate[T]) Scatter(idx []int32, vals []T) {
 		b := i >> shift
 		view := p.view[b]
 		if view == nil {
-			view = p.acquire(b)
+			view = p.resolve(b)
 		}
 		base := b << shift
 		view[i-base] += vals[j] // checked: panics on an index past len(out)
@@ -214,22 +212,9 @@ func (p *blockPrivate[T]) Scatter(idx []int32, vals []T) {
 	}
 }
 
-// acquire resolves storage for block b: claim it in the original array
+// resolve resolves storage for block b: claim it in the original array
 // when the mode allows and the block is unowned, otherwise reuse a pooled
-// fallback buffer (or allocate one on first use). Instrumented accessors
-// time every resolution into the claim-latency histogram (acquisition
-// happens at most once per block per thread per region, so no sampling
-// decimation is needed).
-func (p *blockPrivate[T]) acquire(b int) []T {
-	if p.tel != nil {
-		start := time.Now()
-		view := p.resolve(b)
-		p.tel.Observe(telemetry.ClaimLatency, time.Since(start))
-		return view
-	}
-	return p.resolve(b)
-}
-
+// fallback buffer (or allocate one on first use).
 func (p *blockPrivate[T]) resolve(b int) []T {
 	parent := p.parent
 	base := b << parent.shift
@@ -321,12 +306,7 @@ func (bl *Block[T]) FinalizeWith(t *par.Team) {
 		bl.Finalize()
 		return
 	}
-	tr := t.Tracer()
 	t.Run(func(tid int) {
-		if tr != nil {
-			tr.Begin(tid, telemetry.SpanFinalize, 0, 0)
-			defer tr.End(tid, telemetry.SpanFinalize)
-		}
 		for p := range bl.privs {
 			for _, fb := range bl.privs[p].fallbk {
 				if fb.block%size != tid {

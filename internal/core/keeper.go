@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"spray/internal/memtrack"
@@ -22,14 +21,11 @@ const keeperMailboxFlush = 1024
 
 // parcel is one published batch of foreign update requests: a
 // singly-linked node in both the owner's inbound mailbox and the
-// producer's recycling stack. The producer stamps `at` with the oldest
-// pending dwell timestamp so the drain can turn it into a keeper-dwell
-// sample, and `from` with its tid so the consumed parcel finds its way
-// back to the producer's pool.
+// producer's recycling stack. The producer stamps `from` with its tid so
+// the consumed parcel finds its way back to the producer's pool.
 type parcel[T num.Float] struct {
 	next *parcel[T]
 	from int32
-	at   time.Time
 	idx  []int32
 	vals []T
 }
@@ -75,9 +71,6 @@ type Keeper[T num.Float] struct {
 // accessors split updates into keeper-owned (direct writes into the static
 // ownership range) and keeper-foreign (enqueued update requests); the
 // fix-up counts drained requests against the destination owner's shard.
-// The first foreign enqueue per (thread, owner) pair per region is
-// additionally timestamped and its queue dwell time — enqueue to drain —
-// lands in the keeper-dwell histogram.
 func (k *Keeper[T]) Instrument(rec *telemetry.Recorder) { k.tel = rec }
 
 // NewKeeper wraps out for a team of the given size. Arrays longer than
@@ -119,24 +112,11 @@ type keeperPrivate[T num.Float] struct {
 	// to the parent counter; growth is charged as it happens.
 	charged int64
 	tel     *telemetry.Shard
-	// dwellAt stamps, per destination owner, the first foreign enqueue
-	// of the current region; the drain turns the stamps into
-	// keeper-dwell samples. Allocated only while instrumented, so the
-	// uninstrumented foreign path pays one nil check.
-	dwellAt []time.Time
 	// returns receives parcels the owners have finished applying (Treiber
 	// push by any consumer); free is the local pool they drain into. All
 	// parcel capacity is retained and stays charged to the parent counter.
 	returns atomic.Pointer[parcel[T]]
 	free    []*parcel[T]
-}
-
-// stampDwell records the enqueue time of the first foreign request to
-// owner o in this region.
-func (p *keeperPrivate[T]) stampDwell(o int) {
-	if p.dwellAt != nil && p.dwellAt[o].IsZero() {
-		p.dwellAt[o] = time.Now()
-	}
 }
 
 // Add writes owned locations directly and enqueues an update request with
@@ -150,7 +130,6 @@ func (p *keeperPrivate[T]) Add(i int, v T) {
 		return
 	}
 	p.tel.Inc(telemetry.KeeperForeign)
-	p.stampDwell(o)
 	qi, qv := p.qIdx[o], p.qVal[o]
 	ci, cv := cap(qi), cap(qv)
 	qi = append(qi, int32(i))
@@ -178,7 +157,6 @@ func (p *keeperPrivate[T]) AddN(base int, vals []T) {
 			addInto(p.out[base:base+n], vals)
 		} else {
 			p.tel.Add(telemetry.KeeperForeign, n)
-			p.stampDwell(o)
 			qi, qv := p.qIdx[o], p.qVal[o]
 			ci, cv := cap(qi), cap(qv)
 			for j := 0; j < n; j++ {
@@ -226,7 +204,6 @@ func (p *keeperPrivate[T]) Scatter(idx []int32, vals []T) {
 // copied; callers may reuse them) and publishes the queue to the owner's
 // mailbox once it passes the publication threshold.
 func (p *keeperPrivate[T]) enqueue(o int, idx []int32, vals []T) {
-	p.stampDwell(o)
 	qi, qv := p.qIdx[o], p.qVal[o]
 	ci, cv := cap(qi), cap(qv)
 	qi = append(qi, idx...)
@@ -252,9 +229,7 @@ func (p *keeperPrivate[T]) maybePublish(o int) {
 // queue capacity is untouched, so the Done reconciliation stays exact.
 // Parcel capacity is charged to the parent counter when it grows and is
 // retained forever through the returns/free recycling loop (the same
-// capacity-retention rule the queues follow). The pending dwell stamp,
-// if any, travels with the parcel so the drain observes enqueue-to-apply
-// time; the next enqueue to o re-stamps.
+// capacity-retention rule the queues follow).
 func (p *keeperPrivate[T]) publish(o int) {
 	par := p.takeParcel()
 	ci, cv := cap(par.idx), cap(par.vals)
@@ -266,11 +241,6 @@ func (p *keeperPrivate[T]) publish(o int) {
 			int64(cap(par.vals)-cv)*int64(unsafe.Sizeof(zero)))
 	}
 	par.from = int32(p.tid)
-	par.at = time.Time{}
-	if p.dwellAt != nil {
-		par.at = p.dwellAt[o]
-		p.dwellAt[o] = time.Time{}
-	}
 	p.qIdx[o] = p.qIdx[o][:0]
 	p.qVal[o] = p.qVal[o][:0]
 	mb := &p.parent.mail[o]
@@ -332,15 +302,6 @@ func (p *keeperPrivate[T]) Done() {
 func (k *Keeper[T]) Private(tid int) Private[T] {
 	p := &k.privs[tid]
 	p.tel = k.tel.Shard(tid)
-	if p.tel != nil {
-		if p.dwellAt == nil {
-			p.dwellAt = make([]time.Time, k.threads)
-		} else {
-			clear(p.dwellAt)
-		}
-	} else {
-		p.dwellAt = nil
-	}
 	for o := range p.qIdx {
 		p.qIdx[o] = p.qIdx[o][:0]
 		p.qVal[o] = p.qVal[o][:0]
@@ -380,10 +341,6 @@ func (k *Keeper[T]) drainMail(o int) int {
 	drained := 0
 	for par := head; par != nil; {
 		next := par.next
-		if !par.at.IsZero() {
-			sh.Observe(telemetry.KeeperDwell, time.Since(par.at))
-			par.at = time.Time{}
-		}
 		for j, i := range par.idx {
 			out[i] += par.vals[j]
 		}
@@ -414,35 +371,23 @@ func (k *Keeper[T]) Finalize() {
 
 // FinalizeWith applies the update requests with the team, one owner range
 // per member at a time. Owner ranges are disjoint, so no synchronization
-// is needed beyond the region join. With a tracer attached each owner
-// drain appears as a drain span (arg0 = owner) on the draining member's
-// timeline.
+// is needed beyond the region join.
 func (k *Keeper[T]) FinalizeWith(t *par.Team) {
-	tr := t.Tracer()
 	t.Run(func(tid int) {
 		for o := tid; o < k.threads; o += t.Size() {
-			tr.Begin(tid, telemetry.SpanDrain, int64(o), 0)
 			k.applyOwner(o)
-			tr.End(tid, telemetry.SpanDrain)
 		}
 	})
 }
 
 // applyOwner applies all requests destined for owner o's range. Drained
 // requests are counted against the owner's shard (each owner is processed
-// by exactly one member in FinalizeWith, so the writes stay single-writer),
-// and dwell stamps from the region turn into keeper-dwell samples.
+// by exactly one member in FinalizeWith, so the writes stay single-writer).
 func (k *Keeper[T]) applyOwner(o int) {
 	k.drainMail(o) // parcels published after the last mid-region drain
 	sh := k.tel.Shard(o)
 	for t := range k.privs {
 		p := &k.privs[t]
-		if p.dwellAt != nil {
-			if at := p.dwellAt[o]; !at.IsZero() {
-				sh.Observe(telemetry.KeeperDwell, time.Since(at))
-				p.dwellAt[o] = time.Time{}
-			}
-		}
 		idx, val := p.qIdx[o], p.qVal[o]
 		sh.Add(telemetry.KeeperDrained, len(idx))
 		for j, i := range idx {

@@ -3,9 +3,9 @@ package core
 import "testing"
 
 // TestOffPathSamplingGateNoAlloc guards the telemetry-off hot paths at
-// the allocator level: with no recorder attached, the sampling and
-// histogram gates added for latency instrumentation must not cause a
-// single allocation per operation — the off path stays a nil check.
+// the allocator level: with no recorder attached, the counter gates must
+// not cause a single allocation per operation — the off path stays a nil
+// check.
 // (The off path's time budget is guarded separately by
 // TestTelemetryOffOverhead.)
 func TestOffPathSamplingGateNoAlloc(t *testing.T) {
@@ -62,9 +62,9 @@ func TestOffPathSamplingGateNoAlloc(t *testing.T) {
 
 	t.Run("keeper-foreign", func(t *testing.T) {
 		// Two-thread keeper driven from member 0 with updates into member
-		// 1's range: the foreign enqueue path (where the dwell stamp gate
-		// lives) runs every iteration, and Finalize drains the queues so
-		// their capacity — grown once in the warm-up run — is reused.
+		// 1's range: the foreign enqueue path runs every iteration, and
+		// Finalize drains the queues so their capacity — grown once in
+		// the warm-up run — is reused.
 		k := NewKeeper(make([]float64, n), 2)
 		acc := AsBulk(k.Private(0))
 		foreign := make([]int32, len(vals))

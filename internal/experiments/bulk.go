@@ -6,7 +6,6 @@ import (
 	"spray"
 	"spray/internal/bench"
 	"spray/internal/sparse"
-	"spray/internal/telemetry"
 )
 
 // BulkConfig parameterizes the bulk-update comparison: every strategy is
@@ -14,7 +13,7 @@ import (
 // Add loop and once through the AddN/Scatter batch path — so the two
 // series isolate per-call dispatch and bounds-check overhead.
 type BulkConfig struct {
-	N          int // conv array length / tmv node count
+	N          int // conv array length / graph node count
 	Threads    []int
 	Strategies []spray.Strategy
 	Runner     bench.Runner
@@ -25,11 +24,6 @@ type BulkConfig struct {
 	// point, labeled "<strategy>/<each|bulk> t=<threads>".
 	Telemetry bool
 	OnReport  func(label string, rep spray.RegionReport)
-
-	// Trace, when set, records a span timeline per (strategy, threads)
-	// configuration into the sink (both the each and bulk passes land in
-	// the same process, named "<workload>/<strategy> t=<threads>").
-	Trace *telemetry.TraceSink
 }
 
 // DefaultBulkConfig selects the strategies where the batch path has a
@@ -82,9 +76,6 @@ func BulkConv(cfg BulkConfig) *bench.Result {
 	for _, st := range cfg.Strategies {
 		for _, th := range cfg.Threads {
 			team := spray.NewTeam(th)
-			if cfg.Trace != nil {
-				team.SetTracer(cfg.Trace.New(fmt.Sprintf("conv/%s t=%d", st, th), th))
-			}
 			r := spray.New(st, out, th)
 			var in *spray.Instrumentation
 			if cfg.Telemetry {
@@ -113,13 +104,13 @@ func BulkConv(cfg BulkConfig) *bench.Result {
 	return res
 }
 
-// BulkTMV compares element-wise against bulk accumulation on the CSR
-// transpose-matrix-vector workload (data-dependent Scatter batches over
-// each row's column list).
-func BulkTMV(cfg BulkConfig) *bench.Result {
+// BulkGraph compares element-wise against bulk accumulation on the
+// power-law graph push: the transpose product of sparse.Graph, with
+// data-dependent Scatter batches over each row's column list.
+func BulkGraph(cfg BulkConfig) *bench.Result {
 	a := sparse.Graph[float32](cfg.N, 8, 99)
 	res := &bench.Result{
-		Title:    fmt.Sprintf("Bulk fast path: transpose-matrix-vector, each vs bulk (%dx%d, %d nnz)", a.Rows, a.Cols, a.NNZ()),
+		Title:    fmt.Sprintf("Bulk fast path: graph push, each vs bulk (%dx%d, %d nnz)", a.Rows, a.Cols, a.NNZ()),
 		XLabel:   "threads",
 		Baseline: TMVSequentialBaseline(TMVConfig{Matrix: a, Runner: cfg.Runner}),
 		Notes: []string{
@@ -131,9 +122,6 @@ func BulkTMV(cfg BulkConfig) *bench.Result {
 	for _, st := range cfg.Strategies {
 		for _, th := range cfg.Threads {
 			team := spray.NewTeam(th)
-			if cfg.Trace != nil {
-				team.SetTracer(cfg.Trace.New(fmt.Sprintf("tmv/%s t=%d", st, th), th))
-			}
 			r := spray.New(st, y, th)
 			var in *spray.Instrumentation
 			if cfg.Telemetry {

@@ -11,7 +11,6 @@ import (
 	"spray"
 	"spray/internal/bench"
 	"spray/internal/conv"
-	"spray/internal/telemetry"
 )
 
 // ConvConfig parameterizes the 1-D convolution back-propagation
@@ -34,12 +33,6 @@ type ConvConfig struct {
 	// RegionReport, labeled "<strategy> t=<threads>".
 	Instrument bool
 	OnReport   func(label string, rep spray.RegionReport)
-
-	// Trace, when set, records a span timeline for every (strategy,
-	// threads) run into the sink: each configuration becomes one trace
-	// process named "<strategy> t=<threads>" with one timeline row per
-	// team member. Write the collected timelines with Trace.WriteChrome.
-	Trace *telemetry.TraceSink
 }
 
 // DefaultConvConfig returns the paper's setup scaled by size (pass the
@@ -103,9 +96,6 @@ func Fig11(cfg ConvConfig) *bench.Result {
 	for _, st := range cfg.Strategies {
 		for _, th := range cfg.Threads {
 			team := spray.NewTeam(th)
-			if cfg.Trace != nil {
-				team.SetTracer(cfg.Trace.New(fmt.Sprintf("%s t=%d", st, th), th))
-			}
 			r := spray.New(st, out, th)
 			var in *spray.Instrumentation
 			if cfg.Instrument {

@@ -15,7 +15,6 @@ type Chunker struct {
 	s         Schedule
 	lo, hi    int
 	n         int
-	tracer    *telemetry.Tracer   // nil = chunk spans off
 	rec       *telemetry.Recorder // nil = runtime counters off
 	chunkDone func(tid int)       // nil = no chunk-boundary hook
 	st        *stealer            // steal-schedule runtime; nil otherwise
@@ -42,11 +41,6 @@ func NewChunker(s Schedule, lo, hi, teamSize int) *Chunker {
 	return c
 }
 
-// SetTracer attaches a span tracer: every chunk handed out by For is
-// bracketed as a chunk span (args: from, to) on the receiving member's
-// timeline. Attach before the loop starts.
-func (c *Chunker) SetTracer(tr *telemetry.Tracer) { c.tracer = tr }
-
 // SetRecorder attaches a telemetry recorder for the runtime's own
 // counters — the steal schedule's steals, failed probes, stolen
 // iterations, grain splits/coalesces and per-member chunk counts. A nil
@@ -67,14 +61,6 @@ func (c *Chunker) SetChunkDone(fn func(tid int)) { c.chunkDone = fn }
 func (c *Chunker) For(tid int, body func(from, to int)) {
 	if c.hi <= c.lo {
 		return
-	}
-	if tr := c.tracer; tr != nil {
-		inner := body
-		body = func(from, to int) {
-			tr.Begin(tid, telemetry.SpanChunk, int64(from), int64(to))
-			inner(from, to)
-			tr.End(tid, telemetry.SpanChunk)
-		}
 	}
 	if done := c.chunkDone; done != nil {
 		inner := body

@@ -163,7 +163,6 @@ func ParallelFor(t *Team, lo, hi int, s Schedule, body func(tid, from, to int)) 
 		return
 	}
 	c := NewChunker(s, lo, hi, t.size)
-	c.SetTracer(t.Tracer())
 	c.SetRecorder(t.Recorder())
 	t.Run(func(tid int) {
 		c.For(tid, func(from, to int) { body(tid, from, to) })

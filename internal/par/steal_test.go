@@ -2,6 +2,7 @@ package par
 
 import (
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -9,9 +10,54 @@ import (
 	"spray/internal/telemetry"
 )
 
-// TestStealForcedStealing pins the redistribution path: member 0 stalls
-// inside its first chunk, so the other members must drain member 0's
-// seeded slice by stealing. Coverage must stay exact (every index once)
+// stealWait bounds how long a stalled member waits for a thief.
+const stealWait = 10 * time.Second
+
+// straggler stalls the first chunk of a steal loop until another member
+// has begun a chunk of the same seed slice. The stalled member is stuck
+// inside that first chunk, so only a thief can begin a second one: the
+// stall ends on a steal, not after a guessed sleep.
+type straggler struct {
+	lo, hi  int
+	started []atomic.Int32 // chunks begun per seed slice
+	stalled atomic.Bool
+}
+
+func newStraggler(lo, hi, members int) *straggler {
+	return &straggler{lo: lo, hi: hi, started: make([]atomic.Int32, members)}
+}
+
+// sliceOf returns the member whose seed slice holds index i.
+func (s *straggler) sliceOf(i int) int {
+	for k := range s.started {
+		if _, to := StaticRange(s.lo, s.hi, k, len(s.started)); i < to {
+			return k
+		}
+	}
+	return len(s.started) - 1
+}
+
+// chunk is called at the start of every chunk body. The first call
+// blocks until a thief begins a chunk of its seed slice, and fails the
+// test if none does within stealWait.
+func (s *straggler) chunk(t *testing.T, from int) {
+	k := s.sliceOf(from)
+	s.started[k].Add(1)
+	if s.stalled.Swap(true) {
+		return
+	}
+	deadline := time.Now().Add(stealWait)
+	for s.started[k].Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Errorf("no member stole from the stalled member's seed slice within %v", stealWait)
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestStealForcedStealing pins the redistribution path: the first chunk
+// stalls until another member steals from its seeded slice. Coverage must stay exact (every index once)
 // and, with a recorder attached, the steal counters must show actual
 // steals of member 0's iterations.
 func TestStealForcedStealing(t *testing.T) {
@@ -20,16 +66,12 @@ func TestStealForcedStealing(t *testing.T) {
 	defer team.Close()
 	rec := telemetry.NewRecorder("steal-test", team.Size())
 	visits := make([]atomic.Int32, hi-lo)
-	var stalled atomic.Bool
+	s := newStraggler(lo, hi, team.Size())
 	c := NewChunker(Steal(64), lo, hi, team.Size())
 	c.SetRecorder(rec)
 	team.Run(func(tid int) {
 		c.For(tid, func(from, to int) {
-			if tid == 0 && !stalled.Swap(true) {
-				// Stall long enough that the rest of the team drains
-				// everything else and has to come take our slice.
-				time.Sleep(20 * time.Millisecond)
-			}
+			s.chunk(t, from)
 			for i := from; i < to; i++ {
 				visits[i-lo].Add(1)
 			}
@@ -98,20 +140,17 @@ func TestStealRandomVictimStress(t *testing.T) {
 // (far halves pushed back), and an uncontended single-member run must
 // coalesce adjacent seed chunks into fewer, larger body calls.
 func TestStealGrainSplitAndCoalesce(t *testing.T) {
-	// Split side: 2 members, member 0 stalls, member 1 steals member 0's
-	// large seed chunks (seeded at slice/32 >> grain 8) and must split.
+	// Split side: 2 members, the first chunk stalls, the other member
+	// steals the straggler's large seed chunks (seeded at slice/32 >>
+	// grain 8) and must split.
 	team := NewTeam(2)
 	defer team.Close()
 	rec := telemetry.NewRecorder("steal-split", team.Size())
 	c := NewChunker(Steal(8), 0, 100_000, team.Size())
 	c.SetRecorder(rec)
-	var stalled atomic.Bool
+	s := newStraggler(0, 100_000, team.Size())
 	team.Run(func(tid int) {
-		c.For(tid, func(from, to int) {
-			if tid == 0 && !stalled.Swap(true) {
-				time.Sleep(20 * time.Millisecond)
-			}
-		})
+		c.For(tid, func(from, to int) { s.chunk(t, from) })
 	})
 	snap := rec.Snapshot()
 	if snap.Get(telemetry.Steals) == 0 {
@@ -138,10 +177,10 @@ func TestStealGrainSplitAndCoalesce(t *testing.T) {
 	}
 }
 
-// TestStealChunkDoneAndTracer pins that the steal path goes through the
+// TestStealChunkDone pins that the steal path goes through the
 // same chunk wrappers as every other schedule: the chunk-done hook fires
 // once per executed chunk, on the executing member's goroutine.
-func TestStealChunkDoneAndTracer(t *testing.T) {
+func TestStealChunkDone(t *testing.T) {
 	team := NewTeam(4)
 	defer team.Close()
 	rec := telemetry.NewRecorder("steal-hook", team.Size())

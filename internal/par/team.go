@@ -57,9 +57,8 @@ type Team struct {
 	joinWait time.Duration // master's spin at the join: barrierSpin only (0), or noSpin when oversubscribed
 	closed   bool
 	timing   *Timing             // nil = lifecycle timing off (the default)
-	tracer   *telemetry.Tracer   // nil = span tracing off (the default)
 	rec      *telemetry.Recorder // nil = runtime counters off (the default)
-	regions  int64               // regions dispatched; numbers trace spans
+	regions  int64               // regions dispatched
 
 	panicMu  sync.Mutex
 	panicVal any // first panic raised by a worker during the current region
@@ -169,21 +168,6 @@ func (t *Team) SetTiming(tm *Timing) {
 // timing is off.
 func (t *Team) Timing() *Timing { return t.timing }
 
-// SetTracer attaches (or, with nil, detaches) a span-timeline tracer:
-// subsequent regions record per-member region spans, BarrierTid records
-// barrier waits, and drivers with access to the team (chunkers, fix-ups)
-// add chunk/finalize/drain spans. tr must have at least as many rings as
-// the team has members. Not safe to call while a region is running.
-func (t *Team) SetTracer(tr *telemetry.Tracer) {
-	if tr != nil && tr.Threads() < t.size {
-		panic(fmt.Sprintf("par: tracer built for %d threads attached to a team of %d", tr.Threads(), t.size))
-	}
-	t.tracer = tr
-}
-
-// Tracer returns the attached span tracer, or nil when tracing is off.
-func (t *Team) Tracer() *telemetry.Tracer { return t.tracer }
-
 // SetRecorder attaches (or, with nil, detaches) a telemetry recorder for
 // the loop runtime's own counters: chunkers built against this team
 // (ParallelFor, ScalarReduce, the reduction drivers) report steal-
@@ -222,16 +206,16 @@ func (t *Team) Run(fn func(tid int)) {
 	if t.closed {
 		panic("par: Run on closed team")
 	}
-	tm, tr := t.timing, t.tracer
+	tm := t.timing
 	run := fn
 	var task *trace.Task
 	t.regions++
-	if traced := trace.IsEnabled(); tm != nil || tr != nil || traced {
+	if traced := trace.IsEnabled(); tm != nil || traced {
 		var ctx context.Context = context.Background()
 		if traced {
 			ctx, task = trace.NewTask(ctx, "par.Run")
 		}
-		run = instrumentRegion(ctx, fn, tm, tr, t.regions, traced)
+		run = instrumentRegion(ctx, fn, tm, traced)
 	}
 	var start time.Time
 	if tm != nil {
@@ -270,18 +254,13 @@ func (t *Team) Run(fn func(tid int)) {
 	}
 }
 
-// instrumentRegion wraps a region body with per-member busy timing,
-// span-timeline region events, and execution-trace regions. The wrapper
-// is only built when telemetry or tracing is on — the default Run path
-// dispatches fn untouched.
-func instrumentRegion(ctx context.Context, fn func(int), tm *Timing, tr *telemetry.Tracer, region int64, traced bool) func(int) {
+// instrumentRegion wraps a region body with per-member busy timing and
+// execution-trace regions. The wrapper is only built when timing or Go
+// execution tracing is on — the default Run path dispatches fn untouched.
+func instrumentRegion(ctx context.Context, fn func(int), tm *Timing, traced bool) func(int) {
 	return func(tid int) {
 		if traced {
 			defer trace.StartRegion(ctx, "par.member").End()
-		}
-		if tr != nil {
-			tr.Begin(tid, telemetry.SpanRegion, region, 0)
-			defer tr.End(tid, telemetry.SpanRegion)
 		}
 		if tm != nil {
 			start := time.Now()
@@ -320,20 +299,6 @@ func (t *Team) Barrier() {
 		return
 	}
 	t.barrier.Wait()
-}
-
-// BarrierTid is Barrier for callers that know their member id: with a
-// tracer attached the wait additionally appears as a barrier span on
-// member tid's timeline. Without a tracer it is exactly Barrier.
-func (t *Team) BarrierTid(tid int) {
-	tr := t.tracer
-	if tr == nil {
-		t.Barrier()
-		return
-	}
-	tr.Begin(tid, telemetry.SpanBarrier, 0, 0)
-	t.Barrier()
-	tr.End(tid, telemetry.SpanBarrier)
 }
 
 // Close shuts down the worker goroutines, including any still spinning

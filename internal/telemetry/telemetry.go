@@ -1,8 +1,7 @@
 // Package telemetry is the runtime observability substrate of the SPRAY
 // reproduction: per-thread, cache-line-padded counter shards that the
-// reduction strategies bump from their hot paths, recorders that
-// aggregate the shards per reducer instance, log-bucketed latency
-// histograms (hist.go) and span tracing (trace.go).
+// reduction strategies bump from their hot paths, and recorders that
+// aggregate the shards per reducer instance.
 //
 // Design constraints, in priority order:
 //
@@ -22,7 +21,6 @@ import (
 	"fmt"
 	"strings"
 	"sync/atomic"
-	"time"
 )
 
 // Kind enumerates the event counters a strategy can report. One shard
@@ -67,9 +65,6 @@ const (
 	// at which an owner found (and applied) inbound foreign parcels
 	// before Finalize.
 	KeeperMidDrains
-	// TraceDropped counts span events evicted from a full trace ring
-	// buffer (oldest-first) before they could be exported.
-	TraceDropped
 	// Steals counts successful work-steal acquisitions under the steal
 	// schedule: chunks a dry member took FIFO from a victim's deque.
 	Steals
@@ -112,7 +107,6 @@ var kindNames = [NumKinds]string{
 	KeeperDrained:   "keeper-drained",
 	Entries:         "entries",
 	KeeperMidDrains: "keeper-midregion-drains",
-	TraceDropped:    "trace-dropped",
 	Steals:          "steals",
 	StealFails:      "steal-fails",
 	StealIters:      "steal-iters",
@@ -130,38 +124,22 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// histSlot is one latency histogram inside a shard: log-bucketed counts
-// plus exact count/sum/max. All slots are atomic for live snapshot reads;
-// only the owning thread writes.
-type histSlot struct {
-	buckets [HistBuckets]atomic.Uint64
-	count   atomic.Uint64
-	sum     atomic.Uint64 // ns
-	max     atomic.Uint64 // ns
-}
-
-// shardPayload is the byte size of one shard's counter, histogram and
-// sampling slots; the pad rounds the struct up to a multiple of 128 bytes
-// (two cache lines, so adjacent-line prefetching cannot couple
-// neighboring shards either).
-const shardPayload = int(NumKinds)*8 + int(NumHKinds)*(HistBuckets+3)*8 + int(NumHKinds)*8
+// shardPayload is the byte size of one shard's counter slots; the pad
+// rounds the struct up to a multiple of 128 bytes (two cache lines, so
+// adjacent-line prefetching cannot couple neighboring shards either).
+const shardPayload = int(NumKinds) * 8
 
 // Shard is one thread's private counter block. All increment methods are
 // nil-safe — a nil *Shard is the "telemetry off" state and costs one
 // branch — and writes are atomic so concurrent snapshot reads are
 // race-free. Only the owning thread may increment.
 type Shard struct {
-	c [NumKinds]atomic.Uint64
-	h [NumHKinds]histSlot
-	// The pad sits before the last field: a zero-length array at the end
-	// of a struct would itself be padded (to keep past-the-end pointers
-	// out of the next object), breaking the 128-byte rounding exactly
-	// when the payload already is a multiple.
+	// The pad leads the struct: a zero-length array as the last field
+	// would itself be padded (to keep past-the-end pointers out of the
+	// next object), breaking the 128-byte rounding exactly when the
+	// payload already is a multiple.
 	_ [(-shardPayload) & 127]byte
-	// tick is the sampling decimation state per latency kind. It is a
-	// plain counter: only the owning thread touches it, and snapshots
-	// never read it.
-	tick [NumHKinds]uint64
+	c [NumKinds]atomic.Uint64
 }
 
 // Inc adds one to counter k.
@@ -195,57 +173,6 @@ func (s *Shard) Count(k Kind) uint64 {
 	return s.c[k].Load()
 }
 
-// Sample reports whether the next event of latency kind k should be
-// timed: true for the first event after attach/reset and then every
-// SamplePeriod-th. Nil shards never sample, so the hook disappears
-// behind the same gate as the counters. Only the owning thread may call
-// Sample.
-func (s *Shard) Sample(k HKind) bool {
-	if s == nil {
-		return false
-	}
-	t := s.tick[k]
-	s.tick[k] = t + 1
-	return t%SamplePeriod == 0
-}
-
-// Observe records one latency sample into kind k's histogram. Nil-safe.
-func (s *Shard) Observe(k HKind, d time.Duration) {
-	if s == nil {
-		return
-	}
-	var ns uint64
-	if d > 0 {
-		ns = uint64(d.Nanoseconds())
-	}
-	h := &s.h[k]
-	h.buckets[histBucket(ns)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(ns)
-	for {
-		cur := h.max.Load()
-		if ns <= cur || h.max.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
-}
-
-// Hist copies latency kind k's histogram (zero on a nil shard).
-func (s *Shard) Hist(k HKind) HistSnapshot {
-	var out HistSnapshot
-	if s == nil {
-		return out
-	}
-	h := &s.h[k]
-	for b := range h.buckets {
-		out.Buckets[b] = h.buckets[b].Load()
-	}
-	out.Count = h.count.Load()
-	out.Sum = h.sum.Load()
-	out.Max = h.max.Load()
-	return out
-}
-
 // snapshot copies the shard's slots.
 func (s *Shard) snapshot() Snapshot {
 	var out Snapshot
@@ -255,20 +182,10 @@ func (s *Shard) snapshot() Snapshot {
 	return out
 }
 
-// reset zeroes the shard, including histograms and sampling state.
+// reset zeroes the shard.
 func (s *Shard) reset() {
 	for k := range s.c {
 		s.c[k].Store(0)
-	}
-	for k := range s.h {
-		h := &s.h[k]
-		for b := range h.buckets {
-			h.buckets[b].Store(0)
-		}
-		h.count.Store(0)
-		h.sum.Store(0)
-		h.max.Store(0)
-		s.tick[k] = 0
 	}
 }
 
@@ -325,32 +242,6 @@ func (r *Recorder) Snapshot() Snapshot {
 	}
 	for t := range r.shards {
 		out.Merge(r.shards[t].snapshot())
-	}
-	return out
-}
-
-// Hist merges latency kind k's per-thread histogram shards into one
-// snapshot — by construction identical to the histogram a single thread
-// would have accumulated over the union of the samples.
-func (r *Recorder) Hist(k HKind) HistSnapshot {
-	var out HistSnapshot
-	if r == nil {
-		return out
-	}
-	for t := range r.shards {
-		out.Merge(r.shards[t].Hist(k))
-	}
-	return out
-}
-
-// Hists returns all merged latency histograms, indexed by HKind.
-func (r *Recorder) Hists() [NumHKinds]HistSnapshot {
-	var out [NumHKinds]HistSnapshot
-	if r == nil {
-		return out
-	}
-	for k := HKind(0); k < NumHKinds; k++ {
-		out[k] = r.Hist(k)
 	}
 	return out
 }

@@ -181,7 +181,6 @@ func RunReduction[T Value](t *Team, r Reducer[T], lo, hi int, s Schedule, body f
 		panic("spray: reducer thread count does not match team size")
 	}
 	c := par.NewChunker(s, lo, hi, t.Size())
-	c.SetTracer(t.Tracer())
 	c.SetRecorder(t.Recorder())
 	if d, ok := r.(core.MidRegionDrainer); ok {
 		// Cooperative mid-region drain: publication on, and each member

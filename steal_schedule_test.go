@@ -8,25 +8,49 @@ package spray
 // (a stalled member) and pin exact results plus the hook counters.
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"spray/internal/num"
+	"spray/internal/par"
 	"spray/internal/telemetry"
 )
 
 // stealBody returns a scatter body over [0, n) with guaranteed foreign
-// traffic (every iteration also writes a stride-scrambled index) whose
-// first executed chunk stalls, forcing the rest of the team to steal the
-// straggler's slice. The returned want function applies the same updates
-// sequentially. Inputs are integer-valued so any execution order sums
-// exactly.
-func stealBody(in []float64, n int, stall time.Duration) (func(acc Accessor[float64], from, to int), func(want []float64)) {
+// traffic (every iteration also writes a stride-scrambled index). On a
+// team of more than one member its first executed chunk stalls until
+// another member begins a chunk of the same seed slice: the staller is
+// stuck inside its first chunk, so only a steal can begin a second one.
+// A stall without a steal fails the test after 10 s. The returned want
+// function applies the same updates sequentially. Inputs are
+// integer-valued so any execution order sums exactly.
+func stealBody(t *testing.T, in []float64, n, threads int) (func(acc Accessor[float64], from, to int), func(want []float64)) {
+	const wait = 10 * time.Second
 	var stalled atomic.Bool
+	started := make([]atomic.Int32, threads) // chunks begun per seed slice
+	slice := func(i int) int {
+		for k := range threads {
+			if _, to := par.StaticRange(0, n, k, threads); i < to {
+				return k
+			}
+		}
+		return threads - 1
+	}
 	body := func(acc Accessor[float64], from, to int) {
-		if stall > 0 && !stalled.Swap(true) {
-			time.Sleep(stall)
+		if threads > 1 {
+			k := slice(from)
+			started[k].Add(1)
+			if !stalled.Swap(true) {
+				deadline := time.Now().Add(wait)
+				for started[k].Load() < 2 && time.Now().Before(deadline) {
+					runtime.Gosched()
+				}
+				if started[k].Load() < 2 {
+					t.Errorf("no member stole from the stalled member's seed slice within %v", wait)
+				}
+			}
 		}
 		for i := from; i < to; i++ {
 			acc.Add(i, in[i])
@@ -52,7 +76,7 @@ func TestStealScheduleAllStrategies(t *testing.T) {
 			team := NewTeam(threads)
 			out := make([]float64, n)
 			want := make([]float64, n)
-			body, ref := stealBody(in, n, 2*time.Millisecond)
+			body, ref := stealBody(t, in, n, threads)
 			r := New(st, out, threads)
 			RunReduction(team, r, 0, n, Steal(64), body)
 			ref(want)
@@ -81,7 +105,7 @@ func TestStealKeeperMidDrain(t *testing.T) {
 	ins := Instrument(team, r)
 	defer ins.Detach()
 	for reg := 0; reg < regions; reg++ {
-		body, ref := stealBody(in, n, 5*time.Millisecond)
+		body, ref := stealBody(t, in, n, threads)
 		RunReduction(team, r, 0, n, Steal(128), body)
 		ref(want)
 	}

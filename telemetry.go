@@ -1,7 +1,6 @@
 package spray
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -77,47 +76,7 @@ type Instrumentation struct {
 	detach      func()
 	ownsTiming  bool
 	ownsTeamRec bool
-	tracer      *telemetry.Tracer
-	ownsTracer  bool
 }
-
-// EnableTrace turns on span tracing for the instrumented team: every
-// region, chunk, finalize merge and keeper drain executed after the call
-// is recorded as a timeline event in a bounded per-member ring buffer
-// (eventsPerThread entries each; <= 0 selects the default of
-// telemetry.DefaultTraceEvents). When the rings fill, the oldest events
-// are dropped and counted — the report surfaces them as trace-dropped.
-// Read the timeline back with WriteTrace. If the team already has a
-// tracer attached (e.g. by a previous Instrumentation), it is shared.
-// Must not be called while a region is running.
-func (in *Instrumentation) EnableTrace(eventsPerThread int) {
-	if in.tracer != nil {
-		return
-	}
-	if tr := in.team.Tracer(); tr != nil {
-		in.tracer = tr
-		return
-	}
-	in.tracer = telemetry.NewTracer(in.team.Size(), eventsPerThread)
-	in.team.SetTracer(in.tracer)
-	in.ownsTracer = true
-}
-
-// WriteTrace writes everything the tracer has recorded as Chrome
-// trace-event JSON — load the file at chrome://tracing or ui.perfetto.dev.
-// Returns an error if EnableTrace was never called. Call after the regions
-// of interest have completed; events recorded afterwards land in the same
-// rings until Detach.
-func (in *Instrumentation) WriteTrace(w io.Writer) error {
-	if in.tracer == nil {
-		return errors.New("spray: tracing not enabled; call EnableTrace first")
-	}
-	return in.tracer.WriteChrome(w)
-}
-
-// Tracer returns the attached span tracer, or nil if EnableTrace was
-// never called.
-func (in *Instrumentation) Tracer() *telemetry.Tracer { return in.tracer }
 
 // Report snapshots everything accumulated since Instrument (or the last
 // Reset) into one RegionReport. Safe to call while a region is running —
@@ -125,14 +84,6 @@ func (in *Instrumentation) Tracer() *telemetry.Tracer { return in.tracer }
 // naturally partial.
 func (in *Instrumentation) Report() RegionReport {
 	ts := in.tm.Snapshot()
-	counters := in.rec.Snapshot()
-	if tr := in.tracer; tr != nil {
-		counters[telemetry.TraceDropped] += tr.Dropped()
-	} else if tr := in.team.Tracer(); tr != nil {
-		// A tracer attached outside this Instrumentation (e.g. a trace
-		// sink wired by an experiment driver) still reports its drops.
-		counters[telemetry.TraceDropped] += tr.Dropped()
-	}
 	return RegionReport{
 		Strategy:    in.strategy,
 		Threads:     in.rec.Threads(),
@@ -142,9 +93,8 @@ func (in *Instrumentation) Report() RegionReport {
 		BarrierWait: ts.BarrierWait,
 		Bytes:       in.bytes(),
 		PeakBytes:   in.peak(),
-		Counters:    counters,
+		Counters:    in.rec.Snapshot(),
 		PerThread:   in.rec.PerThread(),
-		Latencies:   in.rec.Hists(),
 	}
 }
 
@@ -159,8 +109,8 @@ func (in *Instrumentation) Reset() {
 }
 
 // Detach disconnects the telemetry: the reducer returns to its
-// uninstrumented fast path, and the timing, counter recorder and tracer
-// that this Instrumentation attached are removed from the team.
+// uninstrumented fast path, and the timing and counter recorder that
+// this Instrumentation attached are removed from the team.
 // The Instrumentation remains readable (Report keeps returning the final
 // numbers).
 func (in *Instrumentation) Detach() {
@@ -173,9 +123,6 @@ func (in *Instrumentation) Detach() {
 	}
 	if in.ownsTeamRec && in.team.Recorder() == in.rec {
 		in.team.SetRecorder(nil)
-	}
-	if in.ownsTracer && in.team.Tracer() == in.tracer {
-		in.team.SetTracer(nil)
 	}
 }
 
@@ -196,10 +143,6 @@ type RegionReport struct {
 	// report was built by hand); the work-stealing imbalance rows derive
 	// from its per-member chunks-executed and steal counts.
 	PerThread []telemetry.Snapshot
-	// Latencies holds one merged log-bucketed histogram per latency kind
-	// (cas-latency, claim-latency, keeper-dwell); kinds the strategy never
-	// fed have Count == 0.
-	Latencies [telemetry.NumHKinds]telemetry.HistSnapshot
 }
 
 // LoadImbalance returns max over mean per-member busy time — 1.0 is a
@@ -259,12 +202,6 @@ func (r RegionReport) WriteTable(w io.Writer) {
 	for k := telemetry.Kind(0); k < telemetry.NumKinds; k++ {
 		if v := r.Counters.Get(k); v != 0 {
 			row(k.String(), v)
-		}
-	}
-	for k := telemetry.HKind(0); k < telemetry.NumHKinds; k++ {
-		if h := r.Latencies[k]; h.Count != 0 {
-			row(k.String(), fmt.Sprintf("p50=%v p90=%v p99=%v max=%v (n=%d)",
-				h.P50(), h.P90(), h.P99(), h.MaxLatency(), h.Count))
 		}
 	}
 }

@@ -230,6 +230,35 @@ func TestInstrumentReusesExistingTiming(t *testing.T) {
 	}
 }
 
+// TestInstrumentDetachCyclesClearTeamAttachments is the leak regression:
+// per-benchmark-point Instrument/Detach churn must hand the team back
+// exactly as it found it, with no timing or counter recorder left
+// attached to keep a detached reducer's shards alive.
+func TestInstrumentDetachCyclesClearTeamAttachments(t *testing.T) {
+	const n, threads = 256, 2
+	team := spray.NewTeam(threads)
+	defer team.Close()
+	for i := 0; i < 100; i++ {
+		r := spray.New(spray.Atomic(), make([]float64, n), threads)
+		in := spray.Instrument(team, r)
+		if team.Timing() == nil || team.Recorder() == nil {
+			t.Fatalf("cycle %d: Instrument did not attach timing and recorder", i)
+		}
+		// Every member writes the whole array: cross-owner CAS traffic.
+		spray.RunReduction(team, r, 0, n, spray.Static(),
+			func(acc spray.Accessor[float64], from, to int) {
+				for i := 0; i < n; i++ {
+					acc.Add(i, 1)
+				}
+			})
+		in.Detach()
+		if team.Timing() != nil || team.Recorder() != nil {
+			t.Fatalf("cycle %d: Detach left team attachments (timing %v, recorder %v)",
+				i, team.Timing() != nil, team.Recorder() != nil)
+		}
+	}
+}
+
 // BenchmarkTelemetryOverheadConv reports the conv backprop workload with
 // telemetry off and on — `make overhead-smoke` tracks the "off" flavor
 // against BenchmarkBulkConv numbers.
