@@ -57,9 +57,9 @@ func (s *straggler) chunk(t *testing.T, from int) {
 }
 
 // TestStealForcedStealing pins the redistribution path: the first chunk
-// stalls until another member steals from its seeded slice. Coverage must stay exact (every index once)
-// and, with a recorder attached, the steal counters must show actual
-// steals of member 0's iterations.
+// stalls until another member steals from its seeded slice. Coverage
+// must stay exact (every index once) and, with a recorder attached, the
+// steal counters must show actual steals of the straggler's iterations.
 func TestStealForcedStealing(t *testing.T) {
 	const lo, hi = 0, 10_000
 	team := NewTeam(4)
