@@ -1,9 +1,9 @@
 package spray_test
 
 // One testing.B benchmark family per figure of the paper's evaluation,
-// at sizes that let `go test -bench=.` finish on a laptop. The cmd/
-// harnesses (sprayconv, spraytmv, spraylulesh, sprayall) run the same
-// experiments at paper scale and produce the EXPERIMENTS.md tables.
+// at sizes that let `go test -bench=.` finish on a laptop. cmd/sprayall
+// runs the same experiments (`-figure 11` … `-figure 16`, `-scale 1` for
+// paper scale) and produces the EXPERIMENTS.md tables.
 //
 //	Figure 11/12: BenchmarkFig11Conv        (absolute times per strategy x threads;
 //	                                         Fig. 12 is the best-per-strategy view)
@@ -164,7 +164,7 @@ func benchTMV(b *testing.B, a *sparse.CSR[float32]) {
 
 func BenchmarkFig14S3DKT3M2(b *testing.B) {
 	// Proportionally shrunk s3dkt3m2-like banded matrix (same per-row
-	// density and band character; pass -paper to cmd/sprayall for full
+	// density and band character; pass -scale 1 to cmd/sprayall for full
 	// scale).
 	a := sparse.Banded[float32](9045, 9045, 21, 600, 1)
 	benchTMV(b, a)

@@ -5,11 +5,14 @@ package spray_test
 // structure. Skipped under -short (they shell out to the go tool).
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"spray/internal/sparse"
 )
 
 // buildCmds compiles every cmd/ binary into a temp dir once per test run.
@@ -34,109 +37,95 @@ func run(t *testing.T, bin string, args ...string) string {
 	return string(out)
 }
 
+func wantAll(t *testing.T, out string, wants ...string) {
+	t.Helper()
+	for _, want := range wants {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestCommandsEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped under -short")
 	}
 	bins := buildCmds(t)
 	tmp := t.TempDir()
+	sprayall := filepath.Join(bins, "sprayall")
+	// -scale 0.002 is a 20,000-element conv array.
+	tiny := []string{"-scale", "0.002", "-max-threads", "2", "-repeats", "1", "-min-time", "5ms"}
 
-	t.Run("sprayconv", func(t *testing.T) {
-		out := run(t, filepath.Join(bins, "sprayconv"),
-			"-figure", "11", "-n", "20000", "-threads", "1,2",
-			"-strategies", "atomic,keeper", "-repeats", "1", "-min-time", "5ms",
-			"-csv", filepath.Join(tmp, "f11.csv"))
-		for _, want := range []string{"Figure 11", "atomic", "keeper", "sequential baseline"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("output missing %q:\n%s", want, out)
-			}
-		}
-		csv, err := os.ReadFile(filepath.Join(tmp, "f11.csv"))
+	t.Run("sprayall-fig11", func(t *testing.T) {
+		dir := filepath.Join(tmp, "fig11")
+		out := run(t, sprayall, append([]string{"-figure", "11", "-outdir", dir}, tiny...)...)
+		wantAll(t, out, "Figure 11", "atomic", "keeper", "sequential baseline")
+		csv, err := os.ReadFile(filepath.Join(dir, "fig11.csv"))
 		if err != nil || !strings.HasPrefix(string(csv), "series,x,mean_s") {
 			t.Errorf("csv missing or malformed: %v", err)
 		}
-	})
-
-	t.Run("sprayconv-fig13", func(t *testing.T) {
-		out := run(t, filepath.Join(bins, "sprayconv"),
-			"-figure", "13", "-n", "20000", "-threads", "2",
-			"-blocks", "64,256", "-repeats", "1", "-min-time", "5ms")
-		for _, want := range []string{"Figure 13", "block-cas-64", "block-private-256"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("output missing %q", want)
-			}
+		if _, err := os.Stat(filepath.Join(dir, "figures.json")); err != nil {
+			t.Errorf("figures.json not written: %v", err)
 		}
 	})
 
-	t.Run("spraygen-and-spraytmv-file", func(t *testing.T) {
+	t.Run("sprayall-fig13", func(t *testing.T) {
+		out := run(t, sprayall, append([]string{"-figure", "13"}, tiny...)...)
+		wantAll(t, out, "Figure 13", "block-cas-64", "block-private-256")
+	})
+
+	t.Run("sprayall-tmv-matrix-file", func(t *testing.T) {
 		mtx := filepath.Join(tmp, "m.mtx")
-		run(t, filepath.Join(bins, "spraygen"),
-			"-kind", "banded", "-rows", "3000", "-per-row", "5", "-half-band", "30", "-o", mtx)
-		out := run(t, filepath.Join(bins, "spraytmv"),
-			"-matrix", mtx, "-threads", "1,2", "-strategies", "atomic,block-cas-256",
-			"-repeats", "1", "-min-time", "5ms")
-		for _, want := range []string{"transpose-matrix-vector", "mkl-legacy", "mkl-ie-hint", "block-cas-256"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("output missing %q:\n%s", want, out)
-			}
+		f, err := os.Create(mtx)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if err := sparse.WriteMatrixMarket(f, sparse.Banded[float32](3000, 3000, 5, 30, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		out := run(t, sprayall, append([]string{"-figure", "14", "-matrix", mtx}, tiny...)...)
+		wantAll(t, out, "transpose-matrix-vector on m.mtx", "mkl-legacy", "mkl-ie-hint", "block-cas-1024")
 	})
 
-	t.Run("spraylulesh", func(t *testing.T) {
-		out := run(t, filepath.Join(bins, "spraylulesh"),
-			"-edge", "5", "-cycles", "3", "-threads", "1,2",
-			"-schemes", "original,atomic", "-repeats", "1")
-		for _, want := range []string{"Figure 16", "lulesh-original", "spray-atomic"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("output missing %q:\n%s", want, out)
-			}
-		}
-	})
-
-	t.Run("spraylulesh-verify", func(t *testing.T) {
-		out := run(t, filepath.Join(bins, "spraylulesh"),
-			"-verify", "block-cas-256", "-edge", "6", "-cycles", "5",
-			"-max-threads", "2", "-regions", "3", "-cost", "2")
-		for _, want := range []string{"Run completed", "MaxAbsDiff", "spray-block-cas-256"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("output missing %q:\n%s", want, out)
-			}
-		}
+	t.Run("sprayall-fig16", func(t *testing.T) {
+		// -scale 0.03 is LULESH 5^3 for 9 cycles.
+		out := run(t, sprayall, "-figure", "16", "-scale", "0.03", "-max-threads", "2", "-repeats", "1")
+		wantAll(t, out, "Figure 16", "lulesh-original", "spray-atomic")
 	})
 
 	t.Run("sprayadvise", func(t *testing.T) {
 		out := run(t, filepath.Join(bins, "sprayadvise"),
 			"-workload", "conv", "-n", "50000", "-threads", "4")
-		for _, want := range []string{"recommendation", "keeper", "ownership match"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("output missing %q:\n%s", want, out)
-			}
-		}
+		wantAll(t, out, "recommendation", "keeper", "ownership match")
 	})
 
-	t.Run("spraycmp", func(t *testing.T) {
-		csvA := filepath.Join(tmp, "a.csv")
-		csvB := filepath.Join(tmp, "b.csv")
-		for _, path := range []string{csvA, csvB} {
-			run(t, filepath.Join(bins, "sprayconv"),
-				"-figure", "11", "-n", "10000", "-threads", "1",
-				"-strategies", "atomic", "-repeats", "1", "-min-time", "2ms",
-				"-csv", path)
+	t.Run("benchdiff-figures", func(t *testing.T) {
+		var files []string
+		for _, side := range []string{"old", "new"} {
+			dir := filepath.Join(tmp, side)
+			run(t, sprayall, "-figure", "11", "-scale", "0.001", "-max-threads", "1",
+				"-repeats", "1", "-min-time", "2ms", "-outdir", dir)
+			files = append(files, filepath.Join(dir, "figures.json"))
 		}
-		out := run(t, filepath.Join(bins, "spraycmp"), csvA, csvB)
-		for _, want := range []string{"comparing", "atomic", "delta"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("output missing %q:\n%s", want, out)
-			}
+		// A noisy tiny run may flag a regression (exit 1); an unreadable
+		// or incomparable file would exit 2.
+		out, err := exec.Command(filepath.Join(bins, "benchdiff"), files...).CombinedOutput()
+		var exit *exec.ExitError
+		if err != nil && (!errors.As(err, &exit) || exit.ExitCode() != 1) {
+			t.Fatalf("benchdiff: %v\n%s", err, out)
 		}
+		wantAll(t, string(out), "result / series @ x", "delta", "Figure 11", "atomic", "regressed")
 	})
 
 	t.Run("bad-flags-fail", func(t *testing.T) {
-		cmd := exec.Command(filepath.Join(bins, "sprayconv"), "-figure", "99")
+		cmd := exec.Command(sprayall, "-figure", "99")
 		if out, err := cmd.CombinedOutput(); err == nil {
 			t.Errorf("unknown figure accepted:\n%s", out)
 		}
-		cmd = exec.Command(filepath.Join(bins, "spraytmv"), "-matrix", "/does/not/exist.mtx")
+		cmd = exec.Command(sprayall, "-figure", "14", "-matrix", filepath.Join(tmp, "missing.mtx"))
 		if out, err := cmd.CombinedOutput(); err == nil {
 			t.Errorf("missing matrix file accepted:\n%s", out)
 		}

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"encoding/csv"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -144,4 +146,43 @@ func TestFmtSeconds(t *testing.T) {
 
 func mkSummary(mean float64) stats.Summary {
 	return stats.Summary{N: 1, Mean: mean, Min: mean, Max: mean, Median: mean}
+}
+
+// TestCSVRoundTrip parses WriteCSV's output with encoding/csv and checks
+// the header and every point's series, x, mean and bytes columns.
+func TestCSVRoundTrip(t *testing.T) {
+	orig := &Result{Title: "t", XLabel: "threads"}
+	orig.AddPoint("a", Point{X: 1, Time: mkSummary(0.5), Bytes: 100})
+	orig.AddPoint("a", Point{X: 2, Time: mkSummary(0.25), Bytes: 200})
+	orig.AddPoint("b", Point{X: 1, Time: mkSummary(1.5)})
+	var buf bytes.Buffer
+	if err := orig.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"series", "x", "mean_s", "min_s", "max_s", "stddev_s", "bytes"}
+	if len(rows) != 4 || len(rows[0]) != len(want) {
+		t.Fatalf("rows %v", rows)
+	}
+	for i, h := range want {
+		if rows[0][i] != h {
+			t.Errorf("column %d is %q, want %q", i, rows[0][i], h)
+		}
+	}
+	row := 1
+	for _, s := range orig.Series {
+		for _, p := range s.Points {
+			got := rows[row]
+			row++
+			x, _ := strconv.ParseFloat(got[1], 64)
+			mean, _ := strconv.ParseFloat(got[2], 64)
+			n, _ := strconv.ParseInt(got[6], 10, 64)
+			if got[0] != s.Name || x != p.X || mean != p.Time.Mean || n != p.Bytes {
+				t.Errorf("series %s point %v: row %v", s.Name, p.X, got)
+			}
+		}
+	}
 }

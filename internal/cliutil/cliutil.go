@@ -126,14 +126,3 @@ func (p *Profiling) Start() (stop func() error, err error) {
 		return nil
 	}, nil
 }
-
-// ParseNames splits a comma-separated list of non-empty names.
-func ParseNames(list string) []string {
-	var out []string
-	for _, f := range strings.Split(list, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
-}

@@ -70,13 +70,3 @@ func TestProfilingNoFlagsIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestParseNames(t *testing.T) {
-	got := ParseNames(" a, b,,c ")
-	if !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
-		t.Errorf("got %v", got)
-	}
-	if got := ParseNames(" , "); got != nil {
-		t.Errorf("empty list: %v", got)
-	}
-}

@@ -86,7 +86,6 @@ func TestTMVIncludesMKLBaselines(t *testing.T) {
 		Threads:    []int{1, 2},
 		Strategies: []spray.Strategy{spray.Atomic()},
 		Runner:     quickRunner(),
-		WithMKL:    true,
 	}
 	res := TMV(cfg)
 	names := map[string]int{}
@@ -109,18 +108,6 @@ func TestTMVIncludesMKLBaselines(t *testing.T) {
 				t.Errorf("mkl-ie-hint bytes %d below half the matrix (%d)", p.Bytes, a.Bytes())
 			}
 		}
-	}
-}
-
-func TestTMVWithoutMKL(t *testing.T) {
-	a := sparse.Banded[float32](1000, 1000, 5, 20, 1)
-	res := TMV(TMVConfig{
-		Name: "t", Matrix: a, Threads: []int{1},
-		Strategies: []spray.Strategy{spray.Keeper()},
-		Runner:     quickRunner(),
-	})
-	if len(res.Series) != 1 {
-		t.Errorf("series: %d", len(res.Series))
 	}
 }
 

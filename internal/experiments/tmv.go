@@ -18,7 +18,6 @@ type TMVConfig struct {
 	Threads    []int
 	Strategies []spray.Strategy
 	Runner     bench.Runner
-	WithMKL    bool
 
 	// Schedule selects the loop schedule the row sweep runs under (zero
 	// value: static). The MKL baselines ignore it — they own their loops.
@@ -89,40 +88,38 @@ func TMV(cfg TMVConfig) *bench.Result {
 		}
 	}
 
-	if cfg.WithMKL {
-		for _, th := range cfg.Threads {
-			team := par.NewTeam(th)
+	for _, th := range cfg.Threads {
+		team := par.NewTeam(th)
 
-			var legacyBytes int64
-			legacy := cfg.Runner.AutoBench(func(iters int) {
-				for i := 0; i < iters; i++ {
-					legacyBytes = mkl.LegacyTMulVec(team, a, x, y)
-				}
-			})
-			res.AddPoint("mkl-legacy", bench.Point{X: float64(th), Time: legacy, Bytes: legacyBytes})
+		var legacyBytes int64
+		legacy := cfg.Runner.AutoBench(func(iters int) {
+			for i := 0; i < iters; i++ {
+				legacyBytes = mkl.LegacyTMulVec(team, a, x, y)
+			}
+		})
+		res.AddPoint("mkl-legacy", bench.Point{X: float64(th), Time: legacy, Bytes: legacyBytes})
 
-			h := mkl.NewHandle(a)
-			h.Optimize()
-			var ieBytes int64
-			ie := cfg.Runner.AutoBench(func(iters int) {
-				for i := 0; i < iters; i++ {
-					ieBytes = h.ExecuteTMulVec(team, x, y)
-				}
-			})
-			res.AddPoint("mkl-ie", bench.Point{X: float64(th), Time: ie, Bytes: ieBytes})
+		h := mkl.NewHandle(a)
+		h.Optimize()
+		var ieBytes int64
+		ie := cfg.Runner.AutoBench(func(iters int) {
+			for i := 0; i < iters; i++ {
+				ieBytes = h.ExecuteTMulVec(team, x, y)
+			}
+		})
+		res.AddPoint("mkl-ie", bench.Point{X: float64(th), Time: ie, Bytes: ieBytes})
 
-			hh := mkl.NewHandle(a)
-			hh.SetHint(mkl.Hint{Transpose: true, Calls: 1 << 20})
-			hh.Optimize() // inspection excluded from timing, as in the paper
-			hint := cfg.Runner.AutoBench(func(iters int) {
-				for i := 0; i < iters; i++ {
-					hh.ExecuteTMulVec(team, x, y)
-				}
-			})
-			res.AddPoint("mkl-ie-hint", bench.Point{X: float64(th), Time: hint, Bytes: hh.ExtraBytes()})
+		hh := mkl.NewHandle(a)
+		hh.SetHint(mkl.Hint{Transpose: true, Calls: 1 << 20})
+		hh.Optimize() // inspection excluded from timing, as in the paper
+		hint := cfg.Runner.AutoBench(func(iters int) {
+			for i := 0; i < iters; i++ {
+				hh.ExecuteTMulVec(team, x, y)
+			}
+		})
+		res.AddPoint("mkl-ie-hint", bench.Point{X: float64(th), Time: hint, Bytes: hh.ExtraBytes()})
 
-			team.Close()
-		}
+		team.Close()
 	}
 	return res
 }

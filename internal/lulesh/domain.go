@@ -29,8 +29,6 @@ type Params struct {
 	QQCMonoq      float64 // quadratic coefficient of the monotonic Q
 	MonoqLimiter  float64 // monotonic limiter multiplier
 	MonoqMaxSlope float64 // monotonic limiter slope cap
-	NumRegions    int     // material regions (LULESH 2.0 -r); <= 1 disables region indirection
-	RegionCost    int     // EOS repetition for every 5th region (LULESH 2.0 -c load imbalance)
 	InitDt        float64 // first time step (scaled by mesh spacing)
 	SideLen       float64 // physical cube side length (LULESH: 1.125)
 	E0            float64 // Sedov energy deposited in the origin element
@@ -59,8 +57,6 @@ func Defaults() Params {
 		QQCMonoq:      2.0 / 3.0,
 		MonoqLimiter:  2.0,
 		MonoqMaxSlope: 1.0,
-		NumRegions:    1,
-		RegionCost:    1,
 		InitDt:        0, // derived from the mesh in New
 		SideLen:       1.125,
 		E0:            3.948746e+7,
@@ -100,12 +96,6 @@ type Domain struct {
 	delvXi, delvEta, delvZeta []float64
 	delxXi, delxEta, delxZeta []float64
 	neighbors                 *mesh.Neighbors
-
-	// Material regions (LULESH 2.0): element lists per region and the
-	// EOS cost repetition per region. Empty regions slice = single
-	// material, no indirection.
-	regions   [][]int32
-	regionRep []int
 
 	Time, Dt float64
 	Cycle    int
@@ -168,10 +158,6 @@ func New(edgeElems int, p Params) *Domain {
 	h := p.SideLen / float64(edgeElems)
 	d.E[0] = p.E0 * math.Pow(float64(edgeElems)/30.0, 3)
 
-	if p.NumRegions > 1 {
-		d.buildRegions(p.NumRegions, p.RegionCost)
-	}
-
 	if p.InitDt > 0 {
 		d.Dt = p.InitDt
 	} else {
@@ -181,46 +167,6 @@ func New(edgeElems int, p Params) *Domain {
 		d.Dt = 0.5 * h / math.Sqrt(2*d.E[0]) / 8
 	}
 	return d
-}
-
-// buildRegions assigns elements to regions with a deterministic
-// hash-spread (LULESH uses a seeded random walk; any roughly even spread
-// exercises the same indirection) and sets the cost repetition: every
-// fifth region is "expensive" and re-evaluates its EOS cost times,
-// LULESH 2.0's load-imbalance model.
-func (d *Domain) buildRegions(numRegions, cost int) {
-	if cost < 1 {
-		cost = 1
-	}
-	d.regions = make([][]int32, numRegions)
-	d.regionRep = make([]int, numRegions)
-	for r := range d.regionRep {
-		if r%5 == 0 {
-			d.regionRep[r] = cost
-		} else {
-			d.regionRep[r] = 1
-		}
-	}
-	for e := 0; e < d.Mesh.NumElem; e++ {
-		r := (e*2654435761 + 0x9e3779b9) % numRegions // Knuth-hash spread
-		if r < 0 {
-			r += numRegions
-		}
-		d.regions[r] = append(d.regions[r], int32(e))
-	}
-}
-
-// RegionSizes returns the element count of each region (nil for the
-// single-material configuration).
-func (d *Domain) RegionSizes() []int {
-	if len(d.regions) == 0 {
-		return nil
-	}
-	out := make([]int, len(d.regions))
-	for r, list := range d.regions {
-		out[r] = len(list)
-	}
-	return out
 }
 
 func (d *Domain) collectCoords(e int, x, y, z *[8]float64) {

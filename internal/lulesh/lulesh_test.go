@@ -2,7 +2,6 @@ package lulesh
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"spray"
@@ -273,37 +272,5 @@ func TestStopTimeRespected(t *testing.T) {
 	}
 	if d.Time < p.StopTime || d.Time > p.StopTime*1.0001 {
 		t.Errorf("final time %v, want %v", d.Time, p.StopTime)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	const edge, cycles = 6, 20
-	p := smallParams(cycles)
-	d := New(edge, p)
-	team := par.NewTeam(2)
-	defer team.Close()
-	if _, err := d.Run(team, Original()); err != nil {
-		t.Fatal(err)
-	}
-	s := d.Summarize()
-	if s.Edge != edge || s.Cycles != cycles {
-		t.Errorf("shape %d/%d", s.Edge, s.Cycles)
-	}
-	if s.OriginEnergy <= 0 || s.TotalEnergy <= 0 || s.Kinetic <= 0 {
-		t.Errorf("energies %v %v %v", s.OriginEnergy, s.TotalEnergy, s.Kinetic)
-	}
-	// Sedov symmetry: plane-0 diffs are float noise only.
-	if s.MaxAbsDiff > 1e-8*s.OriginEnergy {
-		t.Errorf("MaxAbsDiff %v too large", s.MaxAbsDiff)
-	}
-	if s.MaxRelDiff > 1e-8 {
-		t.Errorf("MaxRelDiff %v too large", s.MaxRelDiff)
-	}
-	var buf strings.Builder
-	s.Write(&buf)
-	for _, want := range []string{"Run completed", "MaxAbsDiff", "origin energy"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("output missing %q", want)
-		}
 	}
 }

@@ -204,13 +204,9 @@ func soundSpeedSquared(pbvc, eNew, v, bvc, pNew, rho0 float64) float64 {
 }
 
 // evalEOSElem runs the three-pass energy/pressure update
-// (CalcEnergyForElems) plus final Q and sound speed for one element,
-// repeating the computation reps times the way LULESH's EvalEOSForElems
-// re-evaluates expensive regions (the extra passes read the same inputs
-// and recompute into locals, so results are independent of reps). State
-// is committed once at the end. Returns false if the viscosity exceeded
-// QStop.
-func (d *Domain) evalEOSElem(i, reps int) bool {
+// (CalcEnergyForElems) plus final Q and sound speed for one element and
+// commits the new state. Returns false if the viscosity exceeded QStop.
+func (d *Domain) evalEOSElem(i int) bool {
 	p := d.Params
 	vnewc := d.vnew[i]
 	eOld, delvc := d.E[i], d.Delv[i]
@@ -221,56 +217,53 @@ func (d *Domain) evalEOSElem(i, reps int) bool {
 	vchalf := vnewc - delvc*0.5
 	compHalfStep := 1.0/vchalf - 1.0
 
-	var eNew, pNew, qNew, ssNew float64
-	for rep := 0; rep < reps; rep++ {
-		// Pass 1: half-step pressure.
-		eNew = eOld - 0.5*delvc*(pOld+qOld)
-		if eNew < p.EMin {
-			eNew = p.EMin
-		}
-		pHalfStep, bvc, pbvc := calcPressure(eNew, compHalfStep, p.PCut, p.PMin)
-		vhalf := 1.0 / (1.0 + compHalfStep)
-
-		qNew = 0
-		if delvc <= 0 {
-			ssc := soundSpeedSquared(pbvc, eNew, vhalf, bvc, pHalfStep, p.RefDens)
-			qNew = ssc*qlOld + qqOld
-		}
-		eNew += 0.5 * delvc * (3.0*(pOld+qOld) - 4.0*(pHalfStep+qNew))
-
-		if math.Abs(eNew) < p.ECut {
-			eNew = 0
-		}
-		if eNew < p.EMin {
-			eNew = p.EMin
-		}
-
-		// Pass 2: full-step pressure, corrector on the energy.
-		pNew, bvc, pbvc = calcPressure(eNew, compression, p.PCut, p.PMin)
-		var qTilde float64
-		if delvc <= 0 {
-			ssc := soundSpeedSquared(pbvc, eNew, vnewc, bvc, pNew, p.RefDens)
-			qTilde = ssc*qlOld + qqOld
-		}
-		eNew -= (7.0*(pOld+qOld) - 8.0*(pHalfStep+qNew) + (pNew + qTilde)) * delvc / 6.0
-		if math.Abs(eNew) < p.ECut {
-			eNew = 0
-		}
-		if eNew < p.EMin {
-			eNew = p.EMin
-		}
-
-		// Pass 3: final pressure, Q and sound speed.
-		pNew, bvc, pbvc = calcPressure(eNew, compression, p.PCut, p.PMin)
-		if delvc <= 0 {
-			ssc := soundSpeedSquared(pbvc, eNew, vnewc, bvc, pNew, p.RefDens)
-			qNew = ssc*qlOld + qqOld
-			if math.Abs(qNew) < p.QCut {
-				qNew = 0
-			}
-		}
-		ssNew = soundSpeedSquared(pbvc, eNew, vnewc, bvc, pNew, p.RefDens)
+	// Pass 1: half-step pressure.
+	eNew := eOld - 0.5*delvc*(pOld+qOld)
+	if eNew < p.EMin {
+		eNew = p.EMin
 	}
+	pHalfStep, bvc, pbvc := calcPressure(eNew, compHalfStep, p.PCut, p.PMin)
+	vhalf := 1.0 / (1.0 + compHalfStep)
+
+	var qNew float64
+	if delvc <= 0 {
+		ssc := soundSpeedSquared(pbvc, eNew, vhalf, bvc, pHalfStep, p.RefDens)
+		qNew = ssc*qlOld + qqOld
+	}
+	eNew += 0.5 * delvc * (3.0*(pOld+qOld) - 4.0*(pHalfStep+qNew))
+
+	if math.Abs(eNew) < p.ECut {
+		eNew = 0
+	}
+	if eNew < p.EMin {
+		eNew = p.EMin
+	}
+
+	// Pass 2: full-step pressure, corrector on the energy.
+	pNew, bvc, pbvc := calcPressure(eNew, compression, p.PCut, p.PMin)
+	var qTilde float64
+	if delvc <= 0 {
+		ssc := soundSpeedSquared(pbvc, eNew, vnewc, bvc, pNew, p.RefDens)
+		qTilde = ssc*qlOld + qqOld
+	}
+	eNew -= (7.0*(pOld+qOld) - 8.0*(pHalfStep+qNew) + (pNew + qTilde)) * delvc / 6.0
+	if math.Abs(eNew) < p.ECut {
+		eNew = 0
+	}
+	if eNew < p.EMin {
+		eNew = p.EMin
+	}
+
+	// Pass 3: final pressure, Q and sound speed.
+	pNew, bvc, pbvc = calcPressure(eNew, compression, p.PCut, p.PMin)
+	if delvc <= 0 {
+		ssc := soundSpeedSquared(pbvc, eNew, vnewc, bvc, pNew, p.RefDens)
+		qNew = ssc*qlOld + qqOld
+		if math.Abs(qNew) < p.QCut {
+			qNew = 0
+		}
+	}
+	ssNew := soundSpeedSquared(pbvc, eNew, vnewc, bvc, pNew, p.RefDens)
 
 	d.E[i] = eNew
 	d.P[i] = pNew
@@ -287,36 +280,20 @@ func (d *Domain) evalEOSElem(i, reps int) bool {
 	return qNew <= p.QStop
 }
 
-// applyMaterialProperties runs the EOS region by region — serial across
-// regions, parallel within each, with the region's cost repetition —
-// mirroring LULESH EvalEOSForElems. It returns an error when the
-// artificial viscosity exceeds the QStop threshold (LULESH's QStopped
-// abort).
+// applyMaterialProperties runs the EOS over every element, the
+// single-material case of LULESH EvalEOSForElems. It returns an error
+// when the artificial viscosity exceeds the QStop threshold (LULESH's
+// QStopped abort).
 func (d *Domain) applyMaterialProperties(t *par.Team) error {
 	var qStopped atomic.Int64
 	qStopped.Store(-1)
-	if len(d.regions) == 0 {
-		// Single-material fast path: no region indirection.
-		par.ParallelFor(t, 0, d.Mesh.NumElem, par.Static(), func(tid, from, to int) {
-			for i := from; i < to; i++ {
-				if !d.evalEOSElem(i, 1) {
-					qStopped.CompareAndSwap(-1, int64(i))
-				}
+	par.ParallelFor(t, 0, d.Mesh.NumElem, par.Static(), func(tid, from, to int) {
+		for i := from; i < to; i++ {
+			if !d.evalEOSElem(i) {
+				qStopped.CompareAndSwap(-1, int64(i))
 			}
-		})
-	} else {
-		for r, list := range d.regions {
-			reps := d.regionRep[r]
-			par.ParallelFor(t, 0, len(list), par.Static(), func(tid, from, to int) {
-				for k := from; k < to; k++ {
-					i := int(list[k])
-					if !d.evalEOSElem(i, reps) {
-						qStopped.CompareAndSwap(-1, int64(i))
-					}
-				}
-			})
 		}
-	}
+	})
 	if i := qStopped.Load(); i >= 0 {
 		return fmt.Errorf("lulesh: artificial viscosity %v exceeded QStop in element %d at cycle %d",
 			d.Q[i], i, d.Cycle)

@@ -233,75 +233,3 @@ func TestQStopAborts(t *testing.T) {
 		t.Error("QStop never triggered")
 	}
 }
-
-func TestRegionsPartitionElements(t *testing.T) {
-	p := Defaults()
-	p.NumRegions = 7
-	p.RegionCost = 4
-	d := New(6, p)
-	sizes := d.RegionSizes()
-	if len(sizes) != 7 {
-		t.Fatalf("regions %d", len(sizes))
-	}
-	total := 0
-	seen := make([]bool, d.Mesh.NumElem)
-	for _, list := range d.regions {
-		for _, e := range list {
-			if seen[e] {
-				t.Fatalf("element %d in two regions", e)
-			}
-			seen[e] = true
-			total++
-		}
-	}
-	if total != d.Mesh.NumElem {
-		t.Fatalf("regions cover %d of %d elements", total, d.Mesh.NumElem)
-	}
-	// Cost model: every 5th region expensive.
-	for r, rep := range d.regionRep {
-		want := 1
-		if r%5 == 0 {
-			want = 4
-		}
-		if rep != want {
-			t.Errorf("region %d rep=%d, want %d", r, rep, want)
-		}
-	}
-}
-
-func TestRegionsDoNotChangePhysics(t *testing.T) {
-	// The region cost model adds pure re-computation: results must be
-	// bit-identical to the single-material run.
-	const edge, cycles = 6, 25
-	run := func(regions, cost int) *Domain {
-		p := Defaults()
-		p.MaxCycles = cycles
-		p.NumRegions = regions
-		p.RegionCost = cost
-		d := New(edge, p)
-		team := par.NewTeam(3)
-		defer team.Close()
-		if _, err := d.Run(team, Original()); err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
-	ref := run(1, 1)
-	multi := run(8, 5)
-	for e := range ref.E {
-		if ref.E[e] != multi.E[e] || ref.P[e] != multi.P[e] || ref.V[e] != multi.V[e] {
-			t.Fatalf("element %d state differs: e %v/%v p %v/%v", e,
-				ref.E[e], multi.E[e], ref.P[e], multi.P[e])
-		}
-	}
-	if ref.TotalEnergy() != multi.TotalEnergy() {
-		t.Errorf("energies differ: %v vs %v", ref.TotalEnergy(), multi.TotalEnergy())
-	}
-}
-
-func TestSingleRegionHasNoIndirection(t *testing.T) {
-	d := New(3, Defaults())
-	if d.RegionSizes() != nil {
-		t.Errorf("single material built regions: %v", d.RegionSizes())
-	}
-}

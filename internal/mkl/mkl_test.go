@@ -9,9 +9,20 @@ import (
 	"spray/internal/sparse"
 )
 
+// randomCSR places nnz entries at uniformly random positions (duplicates
+// folded), the irregular pattern the inspector/executor must handle.
+func randomCSR[T num.Float](rows, cols, nnz int, seed int64) *sparse.CSR[T] {
+	rng := rand.New(rand.NewSource(seed))
+	c := sparse.NewCOO[T](rows, cols)
+	for e := 0; e < nnz; e++ {
+		c.Add(rng.Intn(rows), rng.Intn(cols), T(rng.Float64()+0.01))
+	}
+	return sparse.FromCOO(c)
+}
+
 func setup(seed int64, rows, cols, nnz int) (*sparse.CSR[float64], []float64, []float64) {
 	rng := rand.New(rand.NewSource(seed))
-	a := sparse.Random[float64](rows, cols, nnz, seed)
+	a := randomCSR[float64](rows, cols, nnz, seed)
 	x := make([]float64, rows)
 	for i := range x {
 		x[i] = float64(rng.Intn(7) - 3)
@@ -120,7 +131,7 @@ func TestTreeCombineOddTeamSizes(t *testing.T) {
 }
 
 func TestDimensionPanics(t *testing.T) {
-	a := sparse.Random[float64](10, 12, 40, 1)
+	a := randomCSR[float64](10, 12, 40, 1)
 	team := par.NewTeam(2)
 	defer team.Close()
 	for name, fn := range map[string]func(){
@@ -139,7 +150,7 @@ func TestDimensionPanics(t *testing.T) {
 }
 
 func TestFloat32Paths(t *testing.T) {
-	a := sparse.Random[float32](50, 40, 300, 9)
+	a := randomCSR[float32](50, 40, 300, 9)
 	rng := rand.New(rand.NewSource(9))
 	x := make([]float32, a.Rows)
 	for i := range x {

@@ -52,18 +52,6 @@ func Banded[T num.Float](rows, cols, avgPerRow, halfBand int, seed int64) *CSR[T
 	return FromCOO(c)
 }
 
-// Random generates a rows×cols matrix with exactly nnz entries at
-// uniformly random positions (duplicates folded, so the final count can
-// be marginally lower). Used by tests and the PageRank example.
-func Random[T num.Float](rows, cols, nnz int, seed int64) *CSR[T] {
-	rng := rand.New(rand.NewSource(seed))
-	c := NewCOO[T](rows, cols)
-	for e := 0; e < nnz; e++ {
-		c.Add(rng.Intn(rows), rng.Intn(cols), T(rng.Float64()+0.01))
-	}
-	return FromCOO(c)
-}
-
 // Graph generates the CSR adjacency matrix of a random directed graph
 // with out-degree spread following a crude power law, a stand-in for the
 // GAP-style PageRank workload the paper cites as the graph analogue of

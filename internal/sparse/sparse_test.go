@@ -173,13 +173,6 @@ func TestGenerators(t *testing.T) {
 	if perRow < 5 || perRow > 9 {
 		t.Errorf("entries per row %.1f outside [5,9]", perRow)
 	}
-	r := Random[float64](100, 80, 500, 2)
-	if err := r.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if r.NNZ() < 450 || r.NNZ() > 500 {
-		t.Errorf("random NNZ=%d", r.NNZ())
-	}
 	g := Graph[float32](2000, 4, 3)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
@@ -210,11 +203,11 @@ func TestPaperMatrixProfiles(t *testing.T) {
 }
 
 func TestCSRBytesPositive(t *testing.T) {
-	a := Random[float32](50, 50, 100, 1)
+	a := Banded[float32](50, 50, 2, 50, 1)
 	if a.Bytes() <= 0 {
 		t.Errorf("Bytes=%d", a.Bytes())
 	}
-	b := Random[float64](50, 50, 100, 1)
+	b := Banded[float64](50, 50, 2, 50, 1)
 	if b.Bytes() <= a.Bytes() {
 		t.Errorf("float64 matrix not bigger: %d vs %d", b.Bytes(), a.Bytes())
 	}

@@ -119,7 +119,7 @@ func TestTMulVecAccumulatesIntoExisting(t *testing.T) {
 }
 
 func TestTMulVecDimensionPanic(t *testing.T) {
-	a := Random[float64](10, 12, 30, 1)
+	a := Banded[float64](10, 12, 3, 12, 1)
 	team := spray.NewTeam(2)
 	defer team.Close()
 	defer func() {
