@@ -80,12 +80,13 @@ bench-smoke:
 # accessor must stay within 2% of an ungated replica), the
 # zero-steady-state-alloc contract of the off paths (the steal-schedule
 # counters included: a steal loop with telemetry off must not allocate
-# in steady state; nor may a telemetry-off Team.Run), and exercises the
-# off/on conv benchmark once.
+# in steady state, the team's chunker reset included; nor may a
+# telemetry-off Team.Run, nor a ParallelFor region under any schedule),
+# and exercises the off/on conv benchmark once.
 overhead-smoke:
 	$(GO) test -run TestTelemetryOffOverhead -count 1 ./internal/core
 	$(GO) test -run TestOffPathSamplingGateNoAlloc -count 1 ./internal/core
-	$(GO) test -run 'TestStealOffPathNoAlloc|TestRunNoAlloc' -count 1 ./internal/par
+	$(GO) test -run 'TestStealOffPathNoAlloc|TestRunNoAlloc|TestParallelForNoAlloc' -count 1 ./internal/par
 	$(GO) test -run '^$$' -bench 'BenchmarkTelemetryOverheadConv' -benchtime 20x .
 
 # benchmark-module vets and tests the nested benchmark module, which

@@ -109,10 +109,19 @@ func main() {
 			Schedule:   sched,
 		})
 	}
+	// Figure 12 is derived from Figure 11's sweep, so asking for both
+	// measures the sweep once.
+	var fig11 *bench.Result
+	conv := func() *bench.Result {
+		if fig11 == nil {
+			fig11 = experiments.Fig11(convCfg)
+		}
+		return fig11
+	}
 	run := map[string]func() *bench.Result{
 		// Figures 11-13: convolution back-propagation.
-		"11": func() *bench.Result { return experiments.Fig11(convCfg) },
-		"12": func() *bench.Result { return experiments.Fig12(convCfg) },
+		"11": conv,
+		"12": func() *bench.Result { return experiments.Fig12(conv()) },
 		"13": func() *bench.Result {
 			f13 := experiments.DefaultFig13Config(convN, *maxThreads)
 			f13.ConvConfig = convCfg

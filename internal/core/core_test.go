@@ -700,7 +700,7 @@ func TestConcurrentMailboxDrain(t *testing.T) {
 		k.EnableMidDrain(true)
 
 		team := par.NewTeam(threads)
-		c := par.NewChunker(par.Dynamic(1), 0, iters, threads)
+		c := team.Loop(par.Dynamic(1), 0, iters)
 		c.SetChunkDone(k.DrainMid)
 		team.Run(func(tid int) {
 			acc := k.Private(tid)

@@ -123,18 +123,19 @@ func Fig11(cfg ConvConfig) *bench.Result {
 }
 
 // Fig12 reproduces Figure 12: best absolute run time per reduction
-// implementation across all tested thread counts.
-func Fig12(cfg ConvConfig) *bench.Result {
-	full := Fig11(cfg)
+// implementation across all tested thread counts. It is derived from a
+// Fig11 result rather than measured again, so the two figures agree by
+// construction; fig11 is only read.
+func Fig12(fig11 *bench.Result) *bench.Result {
 	res := &bench.Result{
 		Title:    "Figure 12: conv back-propagation best absolute time per implementation",
 		XLabel:   "impl#",
-		Baseline: full.Baseline,
+		Baseline: fig11.Baseline,
 		Notes: []string{
 			"paper compares compilers x optimization levels; reproduced as best-per-strategy",
 		},
 	}
-	for i, s := range full.Series {
+	for i, s := range fig11.Series {
 		best := s.Points[0]
 		for _, p := range s.Points[1:] {
 			if p.Time.Mean < best.Time.Mean {

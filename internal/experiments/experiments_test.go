@@ -44,7 +44,7 @@ func TestFig11ProducesAllSeries(t *testing.T) {
 
 func TestFig12PicksBestPerStrategy(t *testing.T) {
 	cfg := quickConvConfig()
-	res := Fig12(cfg)
+	res := Fig12(Fig11(cfg))
 	if len(res.Series) != len(cfg.Strategies) {
 		t.Fatalf("series %d", len(res.Series))
 	}

@@ -125,7 +125,7 @@ func (p *Problem) Assemble(team *spray.Team, st spray.Strategy) spray.Reducer[fl
 // convention for multi-pass assembly).
 func (p *Problem) AssembleWith(team *spray.Team, r spray.Reducer[float64]) {
 	m := p.Mesh
-	c := par.NewChunker(par.Static(), 0, m.NumElem, team.Size())
+	c := team.Loop(par.Static(), 0, m.NumElem)
 	team.Run(func(tid int) {
 		acc := r.Private(tid)
 		bacc := spray.Bulk(acc)
@@ -170,7 +170,7 @@ func (p *Problem) AssembleLoad(team *spray.Team, st spray.Strategy, f float64, r
 	}
 	m := p.Mesh
 	r := spray.New(st, rhs, team.Size())
-	c := par.NewChunker(par.Static(), 0, m.NumElem, team.Size())
+	c := team.Loop(par.Static(), 0, m.NumElem)
 	team.Run(func(tid int) {
 		acc := r.Private(tid)
 		bacc := spray.Bulk(acc)

@@ -127,7 +127,7 @@ func (s *sprayScheme) scatter(d *Domain, t *par.Team, calc elemForceFunc) {
 		s.threads = t.Size()
 	}
 	m := d.Mesh
-	c := par.NewChunker(s.sched, 0, m.NumElem, t.Size())
+	c := t.Loop(s.sched, 0, m.NumElem)
 	t.Run(func(tid int) {
 		ax := s.rx.Private(tid)
 		ay := s.ry.Private(tid)

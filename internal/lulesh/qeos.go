@@ -130,7 +130,7 @@ func resolve(grad []float64, own int, neighbor int32, bc, symmBit, freeBit int32
 // calcMonotonicQRegion applies the monotonic limiter and computes the
 // linear and quadratic viscosity terms qq/ql per element.
 func (d *Domain) calcMonotonicQRegion(t *par.Team) {
-	p := d.Params
+	p := &d.Params
 	nb := d.neighbors
 	par.ParallelFor(t, 0, d.Mesh.NumElem, par.Static(), func(tid, from, to int) {
 		for i := from; i < to; i++ {

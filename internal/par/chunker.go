@@ -10,14 +10,20 @@ import (
 // schedule. It exists so callers that need per-thread prologue/epilogue
 // work around the chunk loop (reduction init/combine) can drive the chunk
 // iteration themselves from inside Team.Run. ParallelFor is implemented on
-// top of it. A Chunker is valid for a single loop execution.
+// top of it.
+//
+// Each Team owns exactly one Chunker, steal deques included, and Team.Loop
+// resets it for every loop, as LLVM's libomp reuses its per-team dispatch
+// buffers loop after loop: handing out a loop allocates nothing once the
+// team has run its first steal loop. A Chunker returned by Loop is
+// therefore valid until the next loop on the same team starts.
 type Chunker struct {
 	s         Schedule
 	lo, hi    int
 	n         int
 	rec       *telemetry.Recorder // nil = runtime counters off
 	chunkDone func(tid int)       // nil = no chunk-boundary hook
-	st        *stealer            // steal-schedule runtime; nil otherwise
+	st        stealer             // steal-schedule runtime; used by KindSteal only
 
 	// The shared claim cursor sits on its own cache line: dynamic and
 	// guided hammer it with atomic read-modify-writes from every member,
@@ -29,24 +35,20 @@ type Chunker struct {
 	_    [56]byte
 }
 
-// NewChunker prepares chunk hand-out for the range [lo, hi) on a team of
-// teamSize members under schedule s.
-func NewChunker(s Schedule, lo, hi, teamSize int) *Chunker {
+// reset prepares c for the range [lo, hi) on a team of teamSize members
+// under schedule s, reporting runtime counters to rec (nil = off). It
+// clears everything the previous loop left behind: the claim cursor, the
+// chunk-done hook and, for the steal schedule, the deques' seeded flags
+// and any chunk a panicked region left in them.
+func (c *Chunker) reset(s Schedule, lo, hi, teamSize int, rec *telemetry.Recorder) {
 	s.validate()
-	c := &Chunker{s: s, lo: lo, hi: hi, n: teamSize}
+	c.s, c.lo, c.hi, c.n = s, lo, hi, teamSize
+	c.rec, c.chunkDone = rec, nil
 	c.next.Store(int64(lo))
 	if s.Kind == KindSteal && hi > lo {
-		c.st = newStealer(lo, hi, teamSize, s.Chunk)
+		c.st.reset(lo, hi, teamSize, s.Chunk)
 	}
-	return c
 }
-
-// SetRecorder attaches a telemetry recorder for the runtime's own
-// counters — the steal schedule's steals, failed probes, stolen
-// iterations, grain splits/coalesces and per-member chunk counts. A nil
-// recorder (the default) keeps the hand-out paths on the nil-shard fast
-// path. Attach before the loop starts.
-func (c *Chunker) SetRecorder(rec *telemetry.Recorder) { c.rec = rec }
 
 // SetChunkDone attaches a chunk-boundary hook: after each chunk body
 // returns, fn(tid) runs on the member's own goroutine, before the next

@@ -9,7 +9,8 @@ import "sync/atomic"
 // element) and thieves take from the top (FIFO, one CAS per steal). The
 // element type is a packed iteration chunk, so the whole structure is a
 // flat ring of uint64s with no indirection and no allocation after
-// construction.
+// construction; a team allocates its deques once and resets them for
+// every steal loop.
 //
 // Why the classic algorithm is safe here without explicit fences: Go's
 // sync/atomic operations are sequentially consistent, which is the
@@ -114,6 +115,16 @@ func (d *deque) steal() (chunk, bool) {
 		return chunk{}, false
 	}
 	return c, true
+}
+
+// reset empties the deque for the next loop. Chunks left by a region
+// that panicked are dropped by moving bottom up to top, so top stays
+// monotonic and the slot-reuse argument above still holds across loops.
+// The steal mark restarts level with the counter, as on a fresh deque.
+// Only between regions.
+func (d *deque) reset() {
+	d.bottom.Store(d.top.Load())
+	d.mark = d.stolen.Load()
 }
 
 // size returns a racy estimate of the live chunk count (exact when the

@@ -292,7 +292,9 @@ func TestStaticRangeEmpty(t *testing.T) {
 func TestGuidedChunksShrink(t *testing.T) {
 	// With a single member, guided chunks must be non-increasing down to
 	// the minimum chunk.
-	c := NewChunker(Guided(2), 0, 1000, 1)
+	team := NewTeam(1)
+	defer team.Close()
+	c := team.Loop(Guided(2), 0, 1000)
 	last := 1 << 30
 	c.For(0, func(from, to int) {
 		sz := to - from
@@ -313,6 +315,8 @@ func TestDynamicMoreThreadsThanWork(t *testing.T) {
 }
 
 func TestScheduleValidate(t *testing.T) {
+	team := NewTeam(2)
+	defer team.Close()
 	for _, s := range []Schedule{
 		{Kind: KindStaticChunk, Chunk: 0},
 		{Kind: KindDynamic, Chunk: 0},
@@ -324,7 +328,7 @@ func TestScheduleValidate(t *testing.T) {
 					t.Errorf("schedule %+v did not panic", s)
 				}
 			}()
-			NewChunker(s, 0, 10, 2)
+			team.Loop(s, 0, 10)
 		}()
 	}
 }

@@ -14,8 +14,7 @@ func ScalarReduce[V any](t *Team, lo, hi int, s Schedule, init V,
 	body func(acc V, from, to int) V, combine func(a, b V) V) V {
 	n := t.Size()
 	partial := make([]V, n)
-	c := NewChunker(s, lo, hi, n)
-	c.SetRecorder(t.Recorder())
+	c := t.Loop(s, lo, hi)
 	t.Run(func(tid int) {
 		acc := init
 		c.For(tid, func(from, to int) {

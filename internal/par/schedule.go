@@ -162,11 +162,10 @@ func ParallelFor(t *Team, lo, hi int, s Schedule, body func(tid, from, to int)) 
 	if hi <= lo {
 		return
 	}
-	c := NewChunker(s, lo, hi, t.size)
-	c.SetRecorder(t.Recorder())
-	t.Run(func(tid int) {
-		c.For(tid, func(from, to int) { body(tid, from, to) })
-	})
+	t.Loop(s, lo, hi)
+	t.forBody = body
+	t.Run(t.forFn)
+	t.forBody = nil
 }
 
 // ParallelForEach is the per-index convenience form of ParallelFor.

@@ -30,7 +30,7 @@ func chunkCoverage(t *testing.T, team *Team, lo, hi int, s Schedule) {
 		visits = make([]atomic.Int32, n)
 	}
 	var chunks atomic.Int32
-	c := NewChunker(s, lo, hi, team.Size())
+	c := team.Loop(s, lo, hi)
 	team.Run(func(tid int) {
 		c.For(tid, func(from, to int) {
 			chunks.Add(1)
@@ -105,7 +105,7 @@ func TestGuidedMinimumChunk(t *testing.T) {
 	defer team.Close()
 	var small atomic.Int32
 	visits := make([]atomic.Int32, hi-lo)
-	c := NewChunker(Guided(minChunk), lo, hi, team.Size())
+	c := team.Loop(Guided(minChunk), lo, hi)
 	team.Run(func(tid int) {
 		c.For(tid, func(from, to int) {
 			if to-from < minChunk {

@@ -65,10 +65,10 @@ func TestStealForcedStealing(t *testing.T) {
 	team := NewTeam(4)
 	defer team.Close()
 	rec := telemetry.NewRecorder("steal-test", team.Size())
+	team.SetRecorder(rec)
 	visits := make([]atomic.Int32, hi-lo)
 	s := newStraggler(lo, hi, team.Size())
-	c := NewChunker(Steal(64), lo, hi, team.Size())
-	c.SetRecorder(rec)
+	c := team.Loop(Steal(64), lo, hi)
 	team.Run(func(tid int) {
 		c.For(tid, func(from, to int) {
 			s.chunk(t, from)
@@ -120,7 +120,7 @@ func TestStealRandomVictimStress(t *testing.T) {
 		n := 1 + rng.Intn(5000)
 		grain := rng.Intn(64) // 0 = auto
 		var total atomic.Int64
-		c := NewChunker(Steal(grain), lo, lo+n, team.Size())
+		c := team.Loop(Steal(grain), lo, lo+n)
 		team.Run(func(tid int) {
 			c.For(tid, func(from, to int) {
 				if (from+tid)%7 == 0 {
@@ -146,8 +146,8 @@ func TestStealGrainSplitAndCoalesce(t *testing.T) {
 	team := NewTeam(2)
 	defer team.Close()
 	rec := telemetry.NewRecorder("steal-split", team.Size())
-	c := NewChunker(Steal(8), 0, 100_000, team.Size())
-	c.SetRecorder(rec)
+	team.SetRecorder(rec)
+	c := team.Loop(Steal(8), 0, 100_000)
 	s := newStraggler(0, 100_000, team.Size())
 	team.Run(func(tid int) {
 		c.For(tid, func(from, to int) { s.chunk(t, from) })
@@ -165,8 +165,8 @@ func TestStealGrainSplitAndCoalesce(t *testing.T) {
 	solo := NewTeam(1)
 	defer solo.Close()
 	srec := telemetry.NewRecorder("steal-coalesce", 1)
-	sc := NewChunker(Steal(0), 0, 100_000, 1)
-	sc.SetRecorder(srec)
+	solo.SetRecorder(srec)
+	sc := solo.Loop(Steal(0), 0, 100_000)
 	solo.Run(func(tid int) { sc.For(tid, func(from, to int) {}) })
 	ssnap := srec.Snapshot()
 	if ssnap.Get(telemetry.GrainCoalesces) == 0 {
@@ -185,8 +185,8 @@ func TestStealChunkDone(t *testing.T) {
 	defer team.Close()
 	rec := telemetry.NewRecorder("steal-hook", team.Size())
 	var hooks atomic.Int64
-	c := NewChunker(Steal(16), 0, 10_000, team.Size())
-	c.SetRecorder(rec)
+	team.SetRecorder(rec)
+	c := team.Loop(Steal(16), 0, 10_000)
 	c.SetChunkDone(func(tid int) { hooks.Add(1) })
 	team.Run(func(tid int) { c.For(tid, func(from, to int) {}) })
 	chunks := rec.Snapshot().Get(telemetry.ChunksExecuted)
@@ -199,28 +199,22 @@ func TestStealChunkDone(t *testing.T) {
 }
 
 // TestStealOffPathNoAlloc pins the telemetry-off steady state: with no
-// recorder attached, driving a whole steal loop allocates nothing beyond
-// the Chunker construction itself (deques included, one allocation
-// set per loop — same class as every schedule's Chunker). The For calls
-// themselves must be allocation-free.
+// recorder attached, a whole steal loop — Team.Loop's reset of the
+// team's chunker and deques included — allocates nothing. The deques
+// are allocated once, by the team's first steal loop (AllocsPerRun's
+// warm-up call).
 func TestStealOffPathNoAlloc(t *testing.T) {
-	const runs = 32
-	chunkers := make([]*Chunker, runs+1)
-	for i := range chunkers {
-		chunkers[i] = NewChunker(Steal(32), 0, 4096, 1)
-	}
-	var idx int
+	team := NewTeam(1)
+	defer team.Close()
 	sink := 0
-	allocs := testing.AllocsPerRun(runs, func() {
-		c := chunkers[idx]
-		idx++
-		c.For(0, func(from, to int) { sink += to - from })
+	allocs := testing.AllocsPerRun(32, func() {
+		team.Loop(Steal(32), 0, 4096).For(0, func(from, to int) { sink += to - from })
 	})
 	if allocs != 0 {
-		t.Fatalf("steal For allocated %.1f times per loop with telemetry off, want 0", allocs)
+		t.Fatalf("steal Loop+For allocated %.1f times per loop with telemetry off, want 0", allocs)
 	}
-	if sink == 0 {
-		t.Fatal("loop body never ran")
+	if sink != 33*4096 {
+		t.Fatalf("loop body covered %d iterations, want %d", sink, 33*4096)
 	}
 }
 

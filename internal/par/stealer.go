@@ -61,10 +61,10 @@ const (
 	stealMaxRange = 1 << 31
 )
 
-// stealer coordinates one loop instance under the steal schedule. It is
-// created by NewChunker and driven by Chunker.For; all members of the
-// team must call For exactly once (the same contract as the dynamic and
-// guided schedules).
+// stealer coordinates one loop instance under the steal schedule. It
+// lives inside the team's Chunker, is reset by Team.Loop and driven by
+// Chunker.For; all members of the team must call For exactly once (the
+// same contract as the dynamic and guided schedules).
 type stealer struct {
 	lo, hi    int
 	grain     int // minimum chunk size; splits never go below this
@@ -73,7 +73,10 @@ type stealer struct {
 	seeded    []atomic.Bool
 }
 
-func newStealer(lo, hi, teamSize, grain int) *stealer {
+// reset prepares the stealer for the loop [lo, hi) on a team of teamSize
+// members. The deques are allocated by the team's first steal loop and
+// reused by every later one.
+func (s *stealer) reset(lo, hi, teamSize, grain int) {
 	n := hi - lo
 	if n >= stealMaxRange {
 		panic(fmt.Sprintf("par: steal schedule supports ranges up to %d iterations, got %d", stealMaxRange-1, n))
@@ -95,12 +98,14 @@ func newStealer(lo, hi, teamSize, grain int) *stealer {
 	if seedChunk < 1 {
 		seedChunk = 1
 	}
-	return &stealer{
-		lo: lo, hi: hi,
-		grain:     grain,
-		seedChunk: seedChunk,
-		deques:    make([]deque, teamSize),
-		seeded:    make([]atomic.Bool, teamSize),
+	s.lo, s.hi, s.grain, s.seedChunk = lo, hi, grain, seedChunk
+	if s.deques == nil {
+		s.deques = make([]deque, teamSize)
+		s.seeded = make([]atomic.Bool, teamSize)
+	}
+	for i := range s.deques {
+		s.deques[i].reset()
+		s.seeded[i].Store(false)
 	}
 }
 

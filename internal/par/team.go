@@ -62,6 +62,14 @@ type Team struct {
 
 	panicMu  sync.Mutex
 	panicVal any // first panic raised by a worker during the current region
+
+	// ParallelFor's region: forFn is the method value of forMember, bound
+	// once in NewTeam, and forBody is the loop body it hands chunks to while
+	// the region runs, so a ParallelFor region builds no closure.
+	forFn   func(tid int)
+	forBody func(tid, from, to int)
+
+	chunker Chunker // the one loop hand-out state, reset by Loop
 }
 
 // WorkerPanic wraps a panic raised inside a parallel region so the
@@ -109,6 +117,7 @@ func NewTeam(n int) *Team {
 		panic(fmt.Sprintf("par: team size must be >= 1, got %d", n))
 	}
 	t := &Team{size: n, barrier: NewBarrier(n), forkWait: forkSpin}
+	t.forFn = t.forMember
 	if n > runtime.GOMAXPROCS(0) {
 		t.forkWait, t.joinWait = noSpin, noSpin
 	}
@@ -169,8 +178,8 @@ func (t *Team) SetTiming(tm *Timing) {
 func (t *Team) Timing() *Timing { return t.timing }
 
 // SetRecorder attaches (or, with nil, detaches) a telemetry recorder for
-// the loop runtime's own counters: chunkers built against this team
-// (ParallelFor, ScalarReduce, the reduction drivers) report steal-
+// the loop runtime's own counters: every loop handed out by Loop
+// (ParallelFor, ScalarReduce, the reduction drivers) reports steal-
 // schedule activity — steals, failed probes, stolen iterations, grain
 // splits/coalesces, per-member chunks — into its per-thread shards. rec
 // must have at least as many shards as the team has members. Not safe to
@@ -185,6 +194,24 @@ func (t *Team) SetRecorder(rec *telemetry.Recorder) {
 // Recorder returns the attached runtime-counter recorder, or nil when
 // runtime counters are off.
 func (t *Team) Recorder() *telemetry.Recorder { return t.rec }
+
+// Loop resets the team's Chunker for the range [lo, hi) under schedule s,
+// attaches the team's runtime-counter recorder, and returns it. Every
+// loop on the team — ParallelFor, ScalarReduce, the reduction drivers —
+// goes through Loop, so the hand-out state is allocated once per team,
+// not once per region. The returned Chunker belongs to the team: it is
+// valid until the next Loop, so call Loop between regions, once per loop,
+// and drive it from the next Run.
+func (t *Team) Loop(s Schedule, lo, hi int) *Chunker {
+	t.chunker.reset(s, lo, hi, t.size, t.rec)
+	return &t.chunker
+}
+
+// forMember is member tid's share of a ParallelFor region.
+func (t *Team) forMember(tid int) {
+	body := t.forBody
+	t.chunker.For(tid, func(from, to int) { body(tid, from, to) })
+}
 
 // Run executes fn once per team member, concurrently, and returns when all
 // members have finished — the analogue of an OpenMP parallel region. The

@@ -180,8 +180,7 @@ func RunReduction[T Value](t *Team, r Reducer[T], lo, hi int, s Schedule, body f
 	if r.Threads() != t.Size() {
 		panic("spray: reducer thread count does not match team size")
 	}
-	c := par.NewChunker(s, lo, hi, t.Size())
-	c.SetRecorder(t.Recorder())
+	c := t.Loop(s, lo, hi)
 	if d, ok := r.(core.MidRegionDrainer); ok {
 		// Cooperative mid-region drain: publication on, and each member
 		// applies its inbound work at its chunk boundaries instead of

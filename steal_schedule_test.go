@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"spray/internal/core"
 	"spray/internal/num"
 	"spray/internal/par"
 	"spray/internal/telemetry"
@@ -124,5 +125,88 @@ func TestStealKeeperMidDrain(t *testing.T) {
 	}
 	if ci := rep.ChunkImbalance(); ci < 1 {
 		t.Errorf("chunk imbalance %.2f, want >= 1 with per-thread chunk counts", ci)
+	}
+}
+
+// drainCounter wraps a mid-region-draining reducer and counts the
+// chunk-boundary drains the loop runtime calls.
+type drainCounter struct {
+	Reducer[float64]
+	drains atomic.Int64
+}
+
+func (d *drainCounter) EnableMidDrain(on bool) {
+	d.Reducer.(core.MidRegionDrainer).EnableMidDrain(on)
+}
+
+func (d *drainCounter) DrainMid(tid int) {
+	d.drains.Add(1)
+	d.Reducer.(core.MidRegionDrainer).DrainMid(tid)
+}
+
+// TestStealReuseNoDrainLeak pins that the keeper's chunk-boundary drain
+// stays with the reduction that attached it: RunReduction hooks it into
+// the team's one chunker, and the ParallelFor that reuses the chunker
+// next must not call it. RunReduction2D, built on RunReduction, must get
+// the drain as well.
+func TestStealReuseNoDrainLeak(t *testing.T) {
+	const n, threads = 4096, 2
+	team := NewTeam(threads)
+	defer team.Close()
+	out := make([]float64, n)
+	for _, s := range []Schedule{Steal(0), Dynamic(16), Static()} {
+		d := &drainCounter{Reducer: New(Keeper(), out, threads)}
+		RunReduction(team, d, 0, n, s, func(acc Accessor[float64], from, to int) {
+			for i := from; i < to; i++ {
+				acc.Add(n-1-i, 1)
+			}
+		})
+		before := d.drains.Load()
+		if before == 0 {
+			t.Fatalf("%v: keeper reduction never drained at a chunk boundary", s)
+		}
+		ParallelFor(team, 0, n, s, func(tid, from, to int) {})
+		if got := d.drains.Load(); got != before {
+			t.Errorf("%v: ParallelFor after a keeper reduction called its drain %d times", s, got-before)
+		}
+	}
+
+	const rows, cols = 64, 64
+	d := &drainCounter{Reducer: New(Keeper(), out, threads)}
+	RunReduction2D(team, Reducer2D[float64]{r: d, rows: rows, cols: cols}, 0, rows, Steal(0),
+		func(acc Accessor2D[float64], from, to int) {
+			for i := from; i < to; i++ {
+				acc.Add(rows-1-i, 0, 1)
+			}
+		})
+	if d.drains.Load() == 0 {
+		t.Error("keeper-backed 2-D reduction never drained at a chunk boundary")
+	}
+}
+
+// TestSteal2DRecordsRuntimeCounters pins that the 2-D driver's loop
+// reports to the team's recorder: under the steal schedule an
+// instrumented team must count the chunks it executed.
+func TestSteal2DRecordsRuntimeCounters(t *testing.T) {
+	const rows, cols, threads = 256, 8, 2
+	team := NewTeam(threads)
+	defer team.Close()
+	rec := telemetry.NewRecorder("reduce-2d", threads)
+	team.SetRecorder(rec)
+	out := make([]float64, rows*cols)
+	ReduceFor2D(team, Atomic(), out, rows, cols, 0, rows, Steal(0),
+		func(acc Accessor2D[float64], from, to int) {
+			for i := from; i < to; i++ {
+				acc.Add(i, i%cols, 1)
+			}
+		})
+	team.SetRecorder(nil)
+	if got := rec.Snapshot().Get(telemetry.ChunksExecuted); got == 0 {
+		t.Error("ReduceFor2D under steal recorded no executed chunks on an instrumented team")
+	}
+	for i := 0; i < rows; i++ {
+		if got := out[i*cols+i%cols]; got != 1 {
+			t.Fatalf("row %d: got %v at column %d, want 1", i, got, i%cols)
+		}
 	}
 }

@@ -1,10 +1,6 @@
 package spray
 
-import (
-	"fmt"
-
-	"spray/internal/par"
-)
+import "fmt"
 
 // Multi-dimensional support — the paper's §II limitation ("so far, SPRAY
 // supports only one-dimensional arrays") and §IX outlook. A Reducer2D
@@ -82,17 +78,14 @@ func ReduceFor2D[T Value](t *Team, st Strategy, out []T, rows, cols, rowLo, rowH
 	return r
 }
 
-// RunReduction2D is the reusable-reducer form of ReduceFor2D.
+// RunReduction2D is the reusable-reducer form of ReduceFor2D. It is
+// RunReduction over the row range with each chunk's accessor viewed in
+// 2-D, so a 2-D reduction gets the same loop runtime as a 1-D one, the
+// keeper's mid-region drain included.
 func RunReduction2D[T Value](t *Team, r Reducer2D[T], rowLo, rowHi int, s Schedule,
 	body func(acc Accessor2D[T], fromRow, toRow int)) {
-	if r.r.Threads() != t.Size() {
-		panic("spray: 2-D reducer thread count does not match team size")
-	}
-	c := par.NewChunker(s, rowLo, rowHi, t.Size())
-	t.Run(func(tid int) {
-		acc := r.Private(tid)
-		c.For(tid, func(from, to int) { body(acc, from, to) })
-		acc.Done()
+	cols := r.cols
+	RunReduction(t, r.r, rowLo, rowHi, s, func(acc Accessor[T], from, to int) {
+		body(Accessor2D[T]{Bulk(acc), cols}, from, to)
 	})
-	r.FinalizeWith(t)
 }
