@@ -14,9 +14,9 @@ import (
 //
 // Each Team owns exactly one Chunker, steal deques included, and Team.Loop
 // resets it for every loop, as LLVM's libomp reuses its per-team dispatch
-// buffers loop after loop: handing out a loop allocates nothing once the
-// team has run its first steal loop. A Chunker returned by Loop is
-// therefore valid until the next loop on the same team starts.
+// buffers loop after loop: handing out a loop allocates nothing, except
+// that a team's first steal loop allocates its deques. A Chunker returned
+// by Loop is therefore valid until the next loop on the same team starts.
 type Chunker struct {
 	s         Schedule
 	lo, hi    int
