@@ -1,16 +1,11 @@
 package spray_test
 
-// One testing.B benchmark family per figure of the paper's evaluation,
-// at sizes that let `go test -bench=.` finish on a laptop. cmd/sprayall
-// runs the same experiments (`-figure 11` … `-figure 16`, `-scale 1` for
-// paper scale) and produces the EXPERIMENTS.md tables.
-//
-//	Figure 11/12: BenchmarkFig11Conv        (absolute times per strategy x threads;
-//	                                         Fig. 12 is the best-per-strategy view)
-//	Figure 13:    BenchmarkFig13BlockSizes  (block-size sweep)
-//	Figure 14:    BenchmarkFig14S3DKT3M2    (banded-matrix transpose SpMV + MKL baselines)
-//	Figure 15:    BenchmarkFig15Debr        (broad-band matrix transpose SpMV)
-//	Figure 16:    BenchmarkFig16Lulesh      (mini-LULESH force schemes)
+// Benchmarks with no sprayall figure behind them: the ablations of the
+// paper's design remarks (schedules, finalize, Accessor dispatch) and
+// the FEM assembly extension workload. Every figure of the evaluation —
+// 11-16, the extensions, the each-vs-bulk comparison and the schedule
+// comparison — runs through cmd/sprayall (`-figure ...`, `-scale 1` for
+// paper scale), which produces the EXPERIMENTS.md tables.
 
 import (
 	"fmt"
@@ -18,13 +13,8 @@ import (
 	"testing"
 
 	"spray"
-	"spray/internal/conv"
 	"spray/internal/fem"
-	"spray/internal/lulesh"
 	"spray/internal/mesh"
-	"spray/internal/mkl"
-	"spray/internal/par"
-	"spray/internal/sparse"
 )
 
 var benchThreads = []int{1, 2, 4}
@@ -36,177 +26,6 @@ func convSeed(n int) []float32 {
 		s[i] = rng.Float32()
 	}
 	return s
-}
-
-var benchWeights = conv.Weights3[float32]{WL: 0.25, WC: 0.5, WR: 0.25}
-
-func BenchmarkFig11Conv(b *testing.B) {
-	const n = 1 << 20
-	seed := convSeed(n)
-	out := make([]float32, n)
-
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			benchWeights.BackpropSeq(seed, out)
-		}
-		b.SetBytes(int64(n * 4))
-	})
-	strategies := []spray.Strategy{
-		spray.Builtin(), spray.Dense(), spray.Atomic(),
-		spray.BlockLock(1024), spray.BlockCAS(1024), spray.Keeper(),
-	}
-	for _, st := range strategies {
-		for _, th := range benchThreads {
-			b.Run(fmt.Sprintf("%s/threads=%d", st, th), func(b *testing.B) {
-				team := spray.NewTeam(th)
-				defer team.Close()
-				r := spray.New(st, out, th)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					benchWeights.RunBackprop(team, r, seed)
-				}
-				b.SetBytes(int64(n * 4))
-				b.ReportMetric(float64(r.PeakBytes()), "strategy-bytes")
-			})
-		}
-	}
-}
-
-func BenchmarkFig13BlockSizes(b *testing.B) {
-	const n = 1 << 20
-	const threads = 4
-	seed := convSeed(n)
-	out := make([]float32, n)
-	var strategies []spray.Strategy
-	for _, bs := range []int{16, 256, 1024, 16384} {
-		strategies = append(strategies,
-			spray.BlockPrivate(bs), spray.BlockLock(bs), spray.BlockCAS(bs))
-	}
-	strategies = append(strategies, spray.Map(), spray.BTree(0), spray.Keeper())
-	for _, st := range strategies {
-		b.Run(st.String(), func(b *testing.B) {
-			team := spray.NewTeam(threads)
-			defer team.Close()
-			r := spray.New(st, out, threads)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				benchWeights.RunBackprop(team, r, seed)
-			}
-			b.SetBytes(int64(n * 4))
-			b.ReportMetric(float64(r.PeakBytes()), "strategy-bytes")
-		})
-	}
-}
-
-// benchTMV runs the Figure 14/15 benchmark body on the given matrix.
-func benchTMV(b *testing.B, a *sparse.CSR[float32]) {
-	x := make([]float32, a.Rows)
-	for i := range x {
-		x[i] = 1
-	}
-	y := make([]float32, a.Cols)
-
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			a.TMulVecSeq(x, y)
-		}
-	})
-	strategies := []spray.Strategy{
-		spray.Builtin(), spray.Dense(), spray.Atomic(),
-		spray.BlockLock(1024), spray.BlockCAS(1024), spray.Keeper(),
-	}
-	for _, st := range strategies {
-		for _, th := range benchThreads {
-			b.Run(fmt.Sprintf("%s/threads=%d", st, th), func(b *testing.B) {
-				team := spray.NewTeam(th)
-				defer team.Close()
-				r := spray.New(st, y, th)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sparse.RunTMulVec(team, r, a, x)
-				}
-				b.ReportMetric(float64(r.PeakBytes()), "strategy-bytes")
-			})
-		}
-	}
-	for _, th := range benchThreads {
-		b.Run(fmt.Sprintf("mkl-legacy/threads=%d", th), func(b *testing.B) {
-			team := par.NewTeam(th)
-			defer team.Close()
-			for i := 0; i < b.N; i++ {
-				mkl.LegacyTMulVec(team, a, x, y)
-			}
-		})
-		b.Run(fmt.Sprintf("mkl-ie/threads=%d", th), func(b *testing.B) {
-			team := par.NewTeam(th)
-			defer team.Close()
-			h := mkl.NewHandle(a)
-			h.Optimize()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.ExecuteTMulVec(team, x, y)
-			}
-		})
-		b.Run(fmt.Sprintf("mkl-ie-hint/threads=%d", th), func(b *testing.B) {
-			team := par.NewTeam(th)
-			defer team.Close()
-			h := mkl.NewHandle(a)
-			h.SetHint(mkl.Hint{Transpose: true})
-			h.Optimize() // inspection excluded, as in the paper
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.ExecuteTMulVec(team, x, y)
-			}
-			b.ReportMetric(float64(h.ExtraBytes()), "strategy-bytes")
-		})
-	}
-}
-
-func BenchmarkFig14S3DKT3M2(b *testing.B) {
-	// Proportionally shrunk s3dkt3m2-like banded matrix (same per-row
-	// density and band character; pass -scale 1 to cmd/sprayall for full
-	// scale).
-	a := sparse.Banded[float32](9045, 9045, 21, 600, 1)
-	benchTMV(b, a)
-}
-
-func BenchmarkFig15Debr(b *testing.B) {
-	// Shrunk debr-like broad-band matrix.
-	a := sparse.Banded[float32](104858, 104858, 4, 50000, 1)
-	benchTMV(b, a)
-}
-
-func BenchmarkFig16Lulesh(b *testing.B) {
-	const edge, cycles = 10, 10
-	params := lulesh.Defaults()
-	params.MaxCycles = cycles
-
-	schemes := map[string]func() lulesh.ForceScheme{
-		"original":        lulesh.Original,
-		"omp-builtin":     func() lulesh.ForceScheme { return lulesh.Spray(spray.Builtin()) },
-		"dense":           func() lulesh.ForceScheme { return lulesh.Spray(spray.Dense()) },
-		"atomic":          func() lulesh.ForceScheme { return lulesh.Spray(spray.Atomic()) },
-		"block-lock-1024": func() lulesh.ForceScheme { return lulesh.Spray(spray.BlockLock(1024)) },
-		"block-cas-1024":  func() lulesh.ForceScheme { return lulesh.Spray(spray.BlockCAS(1024)) },
-		"keeper":          func() lulesh.ForceScheme { return lulesh.Spray(spray.Keeper()) },
-	}
-	for name, mk := range schemes {
-		for _, th := range benchThreads {
-			b.Run(fmt.Sprintf("%s/threads=%d", name, th), func(b *testing.B) {
-				team := par.NewTeam(th)
-				defer team.Close()
-				fs := mk()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					d := lulesh.New(edge, params)
-					if _, err := d.Run(team, fs); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(fs.PeakBytes()), "strategy-bytes")
-			})
-		}
-	}
 }
 
 // BenchmarkAblationSchedules quantifies the paper's §IV remark that SPRAY
@@ -320,79 +139,6 @@ func BenchmarkAblationAddDispatch(b *testing.B) {
 		acc.Done()
 		r.Finalize()
 	})
-}
-
-// bulkBenchStrategies are the strategies whose AddN/Scatter overrides
-// have a structural shortcut worth measuring against the per-element
-// loop (atomic rides along as the no-memory reference).
-var bulkBenchStrategies = []spray.Strategy{
-	spray.Dense(), spray.Atomic(), spray.BlockCAS(1024), spray.Keeper(),
-}
-
-// BenchmarkBulkConv compares the element-wise Add loop against tiled
-// AddN batches on the conv back-propagation workload. cmd/spraybulk runs
-// the same comparison at larger scale and emits BENCH_bulk.json.
-func BenchmarkBulkConv(b *testing.B) {
-	const n = 1 << 20
-	seed := convSeed(n)
-	out := make([]float32, n)
-	for _, st := range bulkBenchStrategies {
-		for _, th := range benchThreads {
-			b.Run(fmt.Sprintf("%s/each/threads=%d", st, th), func(b *testing.B) {
-				team := spray.NewTeam(th)
-				defer team.Close()
-				r := spray.New(st, out, th)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					benchWeights.RunBackpropEach(team, r, seed)
-				}
-				b.SetBytes(int64(n * 4))
-			})
-			b.Run(fmt.Sprintf("%s/bulk/threads=%d", st, th), func(b *testing.B) {
-				team := spray.NewTeam(th)
-				defer team.Close()
-				r := spray.New(st, out, th)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					benchWeights.RunBackprop(team, r, seed)
-				}
-				b.SetBytes(int64(n * 4))
-			})
-		}
-	}
-}
-
-// BenchmarkBulkTMV compares one Add per nonzero against one Scatter per
-// CSR row on the transpose-matrix-vector workload.
-func BenchmarkBulkTMV(b *testing.B) {
-	a := sparse.Graph[float32](1<<17, 8, 99)
-	x := make([]float32, a.Rows)
-	for i := range x {
-		x[i] = 1
-	}
-	y := make([]float32, a.Cols)
-	for _, st := range bulkBenchStrategies {
-		for _, th := range benchThreads {
-			b.Run(fmt.Sprintf("%s/each/threads=%d", st, th), func(b *testing.B) {
-				team := spray.NewTeam(th)
-				defer team.Close()
-				r := spray.New(st, y, th)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sparse.RunTMulVecEach(team, r, a, x)
-				}
-			})
-			b.Run(fmt.Sprintf("%s/bulk/threads=%d", st, th), func(b *testing.B) {
-				team := spray.NewTeam(th)
-				defer team.Close()
-				r := spray.New(st, y, th)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sparse.RunTMulVec(team, r, a, x)
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkFemAssembly measures the FEM matrix-assembly workload (the

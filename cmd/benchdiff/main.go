@@ -1,11 +1,17 @@
-// Command benchdiff compares two benchmark JSON files written by
-// bench.WriteJSON (cmd/spraybulk -json, make bench-bulk) and reports the
+// Command benchdiff is the benchmark gate. It compares two benchmark
+// JSON files written by sprayall -outdir (figures.json) and reports the
 // per-point deltas. It exits nonzero when any point's mean regressed
-// beyond a noise threshold derived from the recorded standard deviations,
-// making it usable as a CI gate:
+// beyond a noise threshold derived from the recorded standard
+// deviations, making it usable as a CI gate:
 //
 //	benchdiff old.json new.json
 //	benchdiff -sigma 4 -min-rel 0.10 old.json new.json
+//
+// When the candidate holds a schedule comparison (sprayall -figure
+// sched: results with a steal series) benchdiff also checks the
+// work-stealing schedule's ranking claims on it (scheduleClaims in
+// claims.go), prints the per-point schedule table and exits 1 when a
+// claim fails.
 //
 // A missing, legacy or host-incompatible baseline exits 2 and prints the
 // command that re-records it from the candidate: the baseline is never
@@ -68,11 +74,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if !*quiet {
-		fmt.Fprintf(stdout, "baseline:  %s (%s)\n", basePath, base.Host)
-		fmt.Fprintf(stdout, "candidate: %s (%s)\n", candPath, cand.Host)
-		d.WriteTable(stdout)
+	table := stdout
+	if *quiet {
+		table = io.Discard
 	}
+	fmt.Fprintf(table, "baseline:  %s (%s)\n", basePath, base.Host)
+	fmt.Fprintf(table, "candidate: %s (%s)\n", candPath, cand.Host)
+	d.WriteTable(table)
+
+	code := 0
+	violations, checked := checkClaims(cand, table)
+	if len(violations) > 0 {
+		fmt.Fprintf(stderr, "benchdiff: %d schedule claim(s) failed:\n", len(violations))
+		for _, v := range violations {
+			fmt.Fprintln(stderr, "  -", v)
+		}
+		code = 1
+	} else if checked > 0 {
+		fmt.Fprintf(stdout, "benchdiff: all schedule claims hold over %d points\n", checked)
+	}
+
 	regressed := d.Regressions() > 0
 	if *expect {
 		if !regressed {
@@ -80,12 +101,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		fmt.Fprintf(stdout, "benchdiff: regression detected as expected (%d point(s))\n", d.Regressions())
-		return 0
+		return code
 	}
 	if regressed {
 		fmt.Fprintf(stderr, "benchdiff: %d point(s) regressed beyond the noise threshold\n", d.Regressions())
 		return 1
 	}
 	fmt.Fprintln(stdout, "benchdiff: no regression")
-	return 0
+	return code
 }

@@ -54,7 +54,7 @@ func TestCommandsEndToEnd(t *testing.T) {
 	tmp := t.TempDir()
 	sprayall := filepath.Join(bins, "sprayall")
 	// -scale 0.002 is a 20,000-element conv array.
-	tiny := []string{"-scale", "0.002", "-max-threads", "2", "-repeats", "1", "-min-time", "5ms"}
+	tiny := []string{"-scale", "0.002", "-threads", "1,2", "-repeats", "1", "-min-time", "5ms"}
 
 	t.Run("sprayall-fig11", func(t *testing.T) {
 		dir := filepath.Join(tmp, "fig11")
@@ -92,7 +92,7 @@ func TestCommandsEndToEnd(t *testing.T) {
 
 	t.Run("sprayall-fig16", func(t *testing.T) {
 		// -scale 0.03 is LULESH 5^3 for 9 cycles.
-		out := run(t, sprayall, "-figure", "16", "-scale", "0.03", "-max-threads", "2", "-repeats", "1")
+		out := run(t, sprayall, "-figure", "16", "-scale", "0.03", "-threads", "1,2", "-repeats", "1")
 		wantAll(t, out, "Figure 16", "lulesh-original", "spray-atomic")
 	})
 
@@ -106,7 +106,7 @@ func TestCommandsEndToEnd(t *testing.T) {
 		var files []string
 		for _, side := range []string{"old", "new"} {
 			dir := filepath.Join(tmp, side)
-			run(t, sprayall, "-figure", "11", "-scale", "0.001", "-max-threads", "1",
+			run(t, sprayall, "-figure", "11", "-scale", "0.001", "-threads", "1",
 				"-repeats", "1", "-min-time", "2ms", "-outdir", dir)
 			files = append(files, filepath.Join(dir, "figures.json"))
 		}

@@ -1,11 +1,12 @@
-// Package bench provides the measurement harness shared by the figure-
-// reproduction commands: auto-calibrated repeated timing (in the spirit
-// of the Google benchmark library the paper uses), thread-count sweeps,
-// and table/CSV rendering of result series.
+// Package bench is the measurement harness behind cmd/sprayall and
+// cmd/benchdiff: auto-calibrated repeated timing of every measured point
+// (in the spirit of the Google benchmark library the paper uses),
+// thread-count sweeps, table/CSV rendering of result series, the
+// host-stamped JSON file sprayall writes and the noise-banded diff
+// benchdiff gates on.
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -25,22 +26,6 @@ type Runner struct {
 
 // DefaultRunner mirrors the paper's methodology at laptop scale.
 func DefaultRunner() Runner { return Runner{Repeats: 5, MinTime: 200 * time.Millisecond} }
-
-// Measure times one invocation of f per sample, Repeats times. Use for
-// workloads that are already seconds-scale (LULESH runs).
-func (r Runner) Measure(f func()) stats.Summary {
-	reps := r.Repeats
-	if reps < 1 {
-		reps = 1
-	}
-	samples := make([]time.Duration, reps)
-	for i := range samples {
-		start := time.Now()
-		f()
-		samples[i] = time.Since(start)
-	}
-	return stats.OfDurations(samples)
-}
 
 // AutoBench calibrates an iteration count so one sample lasts at least
 // MinTime, then reports per-iteration seconds over Repeats samples.
@@ -200,22 +185,6 @@ func (r *Result) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON renders the result as indented JSON — the machine-readable
-// sibling of WriteCSV, used by the CI bench smoke to emit BENCH_bulk.json.
-func (r *Result) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// WriteJSON writes several results as one indented JSON envelope stamped
-// with the schema version and the host the numbers were measured on (see
-// File), for commands that bundle multiple figures into a single output
-// file consumable by benchdiff.
-func WriteJSON(w io.Writer, results []*Result) error {
-	return NewFile(results).Write(w)
 }
 
 func (s *Series) point(x float64) (Point, bool) {

@@ -47,21 +47,6 @@ func TestAutoBenchCalibratesAndReports(t *testing.T) {
 	}
 }
 
-func TestMeasure(t *testing.T) {
-	r := Runner{Repeats: 4}
-	s := r.Measure(func() { time.Sleep(2 * time.Millisecond) })
-	if s.N != 4 {
-		t.Errorf("N=%d", s.N)
-	}
-	if s.Mean < 1e-3 {
-		t.Errorf("mean %v too small", s.Mean)
-	}
-	// Zero repeats still measures once.
-	if s := (Runner{}).Measure(func() {}); s.N != 1 {
-		t.Errorf("zero-repeats N=%d", s.N)
-	}
-}
-
 func TestAddPointGroupsBySeries(t *testing.T) {
 	r := &Result{}
 	r.AddPoint("a", Point{X: 1})

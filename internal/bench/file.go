@@ -10,7 +10,7 @@ import (
 )
 
 // SchemaVersion identifies the layout of the JSON files written by
-// WriteJSON. Version 1 was a bare []*Result array with no metadata;
+// File.Write. Version 1 was a bare []*Result array with no metadata;
 // version 2 wraps the results in a File envelope stamped with the schema
 // number and the host the numbers were measured on, so the regression
 // gate can refuse to compare runs that are not comparable.
@@ -54,7 +54,7 @@ func (h HostInfo) String() string {
 }
 
 // File is the schema-versioned envelope around a set of benchmark
-// results — what WriteJSON writes and ReadJSON returns.
+// results — what Write writes and ReadJSON returns.
 type File struct {
 	Schema  int
 	Host    HostInfo
@@ -71,7 +71,7 @@ func NewFile(results []*Result) *File {
 // array carrying no host metadata).
 func (f *File) Legacy() bool { return f.Schema < SchemaVersion }
 
-// ReadJSON parses a benchmark file written by WriteJSON. Version-1 files
+// ReadJSON parses a benchmark file written by File.Write. Version-1 files
 // (a bare JSON array of results) are still accepted and surface as a
 // File with Schema 1 and zero Host, so callers can detect and refuse —
 // or migrate — them explicitly.

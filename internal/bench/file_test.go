@@ -21,7 +21,7 @@ func sampleResults() []*Result {
 func TestWriteReadRoundTrip(t *testing.T) {
 	results := sampleResults()
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, results); err != nil {
+	if err := NewFile(results).Write(&buf); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	f, err := ReadJSON(&buf)

@@ -10,8 +10,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-
-	"spray"
 )
 
 // ParseInts parses a comma-separated list of positive integers
@@ -31,27 +29,6 @@ func ParseInts(list string) ([]int, error) {
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("cliutil: empty integer list")
-	}
-	return out, nil
-}
-
-// ParseSchedules parses a comma-separated list of loop schedules in
-// their spray.ParseSchedule string forms ("static, dynamic:8, steal").
-func ParseSchedules(list string) ([]spray.Schedule, error) {
-	var out []spray.Schedule
-	for _, f := range strings.Split(list, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		s, err := spray.ParseSchedule(f)
-		if err != nil {
-			return nil, fmt.Errorf("cliutil: %w", err)
-		}
-		out = append(out, s)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("cliutil: empty schedule list")
 	}
 	return out, nil
 }

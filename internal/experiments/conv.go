@@ -1,7 +1,7 @@
-// Package experiments implements the paper's evaluation section: one
-// driver per figure, shared between the cmd/ tools and the benchmark
-// suite. Every driver returns a bench.Result holding the same series the
-// corresponding figure plots.
+// Package experiments implements the paper's evaluation section behind
+// cmd/sprayall: one driver per figure, all measuring their reducer
+// points through one loop (sweep). Every driver returns a bench.Result
+// holding the same series the corresponding figure plots.
 package experiments
 
 import (
@@ -15,7 +15,8 @@ import (
 
 // ConvConfig parameterizes the 1-D convolution back-propagation
 // experiment (§VI-A / Figures 11–13). The paper uses 10⁷ single-precision
-// elements.
+// elements. Every other sweep embeds it or takes it whole, so these are
+// also the settings every measured point shares.
 type ConvConfig struct {
 	N          int
 	Threads    []int
@@ -27,10 +28,10 @@ type ConvConfig struct {
 	// this to rerun the figure per schedule without recompiling.
 	Schedule spray.Schedule
 
-	// Instrument attaches telemetry to every (strategy, threads) run:
-	// each measured point carries the strategy counters accumulated while
-	// it was timed, and OnReport (when set) receives the full
-	// RegionReport, labeled "<strategy> t=<threads>".
+	// Instrument attaches telemetry to every measured point: the point
+	// carries the strategy counters accumulated while it was timed, and
+	// OnReport (when set) receives the full RegionReport, labeled
+	// "<result title>: <series> t=<threads>".
 	Instrument bool
 	OnReport   func(label string, rep spray.RegionReport)
 }
@@ -94,32 +95,59 @@ func Fig11(cfg ConvConfig) *bench.Result {
 	seed := convData(cfg.N)
 	out := make([]float32, cfg.N)
 	for _, st := range cfg.Strategies {
-		for _, th := range cfg.Threads {
-			team := spray.NewTeam(th)
-			r := spray.New(st, out, th)
-			var in *spray.Instrumentation
-			if cfg.Instrument {
-				in = spray.Instrument(team, r)
+		sweep(cfg, res, st, out, leg[float32]{st.String(), func(team *spray.Team, r spray.Reducer[float32], iters int) {
+			for i := 0; i < iters; i++ {
+				convWeights.RunBackpropSched(team, r, seed, cfg.Schedule)
 			}
-			summary := cfg.Runner.AutoBench(func(iters int) {
-				for i := 0; i < iters; i++ {
-					convWeights.RunBackpropSched(team, r, seed, cfg.Schedule)
-				}
-			})
-			p := bench.Point{X: float64(th), Time: summary, Bytes: r.PeakBytes()}
+		}})
+	}
+	return res
+}
+
+// leg is one series of a sweep: its name and the workload, which must
+// run iters times through the point's team and reducer.
+type leg[T spray.Value] struct {
+	series string
+	run    func(team *spray.Team, r spray.Reducer[T], iters int)
+}
+
+// sweep measures one point per leg at every thread count of cfg: a team
+// of th members reduces into out through st, cfg.Runner times each leg,
+// and the point carries the reducer's peak bytes. Legs share the team
+// and the reducer, so a later leg's bytes include an earlier leg's peak.
+// With cfg.Instrument each point also carries the counters accumulated
+// while it was timed.
+func sweep[T spray.Value](cfg ConvConfig, res *bench.Result, st spray.Strategy, out []T, legs ...leg[T]) {
+	for _, th := range cfg.Threads {
+		team := spray.NewTeam(th)
+		r := spray.New(st, out, th)
+		var in *spray.Instrumentation
+		if cfg.Instrument {
+			in = spray.Instrument(team, r)
+		}
+		for _, l := range legs {
+			if in != nil {
+				in.Reset()
+			}
+			p := bench.Point{
+				X:     float64(th),
+				Time:  cfg.Runner.AutoBench(func(iters int) { l.run(team, r, iters) }),
+				Bytes: r.PeakBytes(), // read after the timed runs
+			}
 			if in != nil {
 				rep := in.Report()
 				p.Counters = rep.CounterMap()
 				if cfg.OnReport != nil {
-					cfg.OnReport(fmt.Sprintf("%s t=%d", st, th), rep)
+					cfg.OnReport(fmt.Sprintf("%s: %s t=%d", res.Title, l.series, th), rep)
 				}
-				in.Detach()
 			}
-			res.AddPoint(st.String(), p)
-			team.Close()
+			res.AddPoint(l.series, p)
 		}
+		if in != nil {
+			in.Detach()
+		}
+		team.Close()
 	}
-	return res
 }
 
 // Fig12 reproduces Figure 12: best absolute run time per reduction

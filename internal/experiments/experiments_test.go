@@ -81,11 +81,13 @@ func TestFig13SweepsBlockSizes(t *testing.T) {
 func TestTMVIncludesMKLBaselines(t *testing.T) {
 	a := sparse.Banded[float32](2000, 2000, 9, 40, 1)
 	cfg := TMVConfig{
-		Name:       "test",
-		Matrix:     a,
-		Threads:    []int{1, 2},
-		Strategies: []spray.Strategy{spray.Atomic()},
-		Runner:     quickRunner(),
+		ConvConfig: ConvConfig{
+			Threads:    []int{1, 2},
+			Strategies: []spray.Strategy{spray.Atomic()},
+			Runner:     quickRunner(),
+		},
+		Name:   "test",
+		Matrix: a,
 	}
 	res := TMV(cfg)
 	names := map[string]int{}
@@ -116,7 +118,7 @@ func TestLuleshExperiment(t *testing.T) {
 		Edge: 4, Cycles: 3,
 		Threads: []int{1, 2},
 		Schemes: []string{"original", "block-cas-256"},
-		Repeats: 1,
+		Runner:  quickRunner(),
 	}
 	res, err := Lulesh(cfg)
 	if err != nil {
@@ -141,7 +143,7 @@ func TestLuleshExperiment(t *testing.T) {
 func TestLuleshBadSchemeName(t *testing.T) {
 	_, err := Lulesh(LuleshConfig{
 		Edge: 3, Cycles: 1, Threads: []int{1},
-		Schemes: []string{"no-such-strategy"}, Repeats: 1,
+		Schemes: []string{"no-such-strategy"}, Runner: quickRunner(),
 	})
 	if err == nil {
 		t.Error("bad scheme name accepted")

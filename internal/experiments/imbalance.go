@@ -5,9 +5,7 @@ import (
 
 	"spray"
 	"spray/internal/bench"
-	"spray/internal/conv"
 	"spray/internal/lulesh"
-	"spray/internal/par"
 	"spray/internal/sparse"
 )
 
@@ -31,57 +29,44 @@ import (
 // near-free arithmetic. The balance win needs real parallelism; see
 // EXPERIMENTS.md.
 
-// ImbalanceConfig parameterizes the schedule-comparison legs.
+// ImbalanceConfig parameterizes the schedule-comparison legs. The
+// embedded ConvConfig sets the synthetic and conv iteration count (the
+// TMV leg scales off N), the threads, the runner and the telemetry. Its
+// first strategy is the reduction every leg accumulates through — the
+// comparison varies the schedule, not the strategy — and its Schedule is
+// unused: Schedules are the compared series, one per schedule string
+// form.
 type ImbalanceConfig struct {
-	N       int // synthetic/conv iteration count; tmv scales off it
-	Edge    int // mini-LULESH mesh edge (elements per side)
-	Cycles  int // mini-LULESH time-step count
-	Threads []int
-	// Schedules are the compared series, one per schedule string form.
+	ConvConfig
+	Edge      int // mini-LULESH mesh edge (elements per side)
+	Cycles    int // mini-LULESH time-step count
 	Schedules []spray.Schedule
-	// Strategy is the reduction strategy every leg accumulates through
-	// (the comparison varies the schedule, not the strategy).
-	Strategy spray.Strategy
-	Runner   bench.Runner
-
-	// Telemetry instruments every measured point; OnReport (when set)
-	// receives the per-point RegionReport labeled
-	// "<leg>/<schedule> t=<threads>".
-	Telemetry bool
-	OnReport  func(label string, rep spray.RegionReport)
 }
 
 // DefaultImbalanceConfig compares the four schedule kinds on the keeper
 // strategy, with a mini mesh sized for CI gates rather than paper runs.
-func DefaultImbalanceConfig(n, maxThreads int) ImbalanceConfig {
+func DefaultImbalanceConfig(base ConvConfig) ImbalanceConfig {
+	base.Strategies = []spray.Strategy{spray.Keeper()}
 	return ImbalanceConfig{
-		N:       n,
-		Edge:    10,
-		Cycles:  4,
-		Threads: bench.ThreadCounts(maxThreads),
+		ConvConfig: base,
+		Edge:       10,
+		Cycles:     4,
 		Schedules: []spray.Schedule{
 			spray.Static(), spray.Dynamic(0), spray.Guided(0), spray.Steal(0),
 		},
-		Strategy: spray.Keeper(),
-		Runner:   bench.DefaultRunner(),
 	}
 }
 
-// imbalancePoint measures one (schedule, threads) point, attaching the
-// telemetry counters accumulated during the timed window when asked.
-func imbalancePoint(cfg ImbalanceConfig, in *spray.Instrumentation, th int, label string, run func(iters int)) bench.Point {
-	if in != nil {
-		in.Reset()
+// scheduleSweep measures one series per schedule: run receives the
+// schedule its leg drives the loop under.
+func scheduleSweep[T spray.Value](cfg ImbalanceConfig, res *bench.Result, out []T, run func(team *spray.Team, r spray.Reducer[T], sched spray.Schedule)) {
+	for _, sched := range cfg.Schedules {
+		sweep(cfg.ConvConfig, res, cfg.Strategies[0], out, leg[T]{sched.String(), func(team *spray.Team, r spray.Reducer[T], iters int) {
+			for it := 0; it < iters; it++ {
+				run(team, r, sched)
+			}
+		}})
 	}
-	p := bench.Point{X: float64(th), Time: cfg.Runner.AutoBench(run)}
-	if in != nil {
-		rep := in.Report()
-		p.Counters = rep.CounterMap()
-		if cfg.OnReport != nil {
-			cfg.OnReport(fmt.Sprintf("%s t=%d", label, th), rep)
-		}
-	}
-	return p
 }
 
 // imbalanceHeavyFrac is the leading fraction of the synthetic iteration
@@ -119,7 +104,7 @@ func ImbalanceSkew(cfg ImbalanceConfig) *bench.Result {
 		XLabel: "threads",
 		Notes: []string{
 			fmt.Sprintf("iterations below %d run %dx the arithmetic of the rest", heavy, imbalanceHeavyWork),
-			"strategy fixed at " + cfg.Strategy.String() + "; series vary the loop schedule only",
+			"strategy fixed at " + cfg.Strategies[0].String() + "; series vary the loop schedule only",
 		},
 	}
 	in := make([]float64, n)
@@ -127,32 +112,14 @@ func ImbalanceSkew(cfg ImbalanceConfig) *bench.Result {
 		in[i] = float64(i%7) + 1
 	}
 	out := make([]float64, n)
-	for _, sched := range cfg.Schedules {
-		for _, th := range cfg.Threads {
-			team := spray.NewTeam(th)
-			r := spray.New(cfg.Strategy, out, th)
-			var ins *spray.Instrumentation
-			if cfg.Telemetry {
-				ins = spray.Instrument(team, r)
-			}
-			p := imbalancePoint(cfg, ins, th, "skew/"+sched.String(), func(iters int) {
-				for it := 0; it < iters; it++ {
-					spray.RunReduction(team, r, 0, n, sched,
-						func(acc spray.Accessor[float64], from, to int) {
-							for i := from; i < to; i++ {
-								acc.Add(i, heavyCost(i, heavy, in[i]))
-							}
-						})
+	scheduleSweep(cfg, res, out, func(team *spray.Team, r spray.Reducer[float64], sched spray.Schedule) {
+		spray.RunReduction(team, r, 0, n, sched,
+			func(acc spray.Accessor[float64], from, to int) {
+				for i := from; i < to; i++ {
+					acc.Add(i, heavyCost(i, heavy, in[i]))
 				}
 			})
-			p.Bytes = r.PeakBytes()
-			res.AddPoint(sched.String(), p)
-			if ins != nil {
-				ins.Detach()
-			}
-			team.Close()
-		}
-	}
+	})
 	return res
 }
 
@@ -197,32 +164,14 @@ func ImbalanceTMV(cfg ImbalanceConfig) *bench.Result {
 		XLabel: "threads",
 		Notes: []string{
 			fmt.Sprintf("first %d rows are ~8x denser than the remaining %d", a.Rows/imbalanceHeavyFrac, a.Rows-a.Rows/imbalanceHeavyFrac),
-			"strategy fixed at " + cfg.Strategy.String() + "; series vary the loop schedule only",
+			"strategy fixed at " + cfg.Strategies[0].String() + "; series vary the loop schedule only",
 		},
 	}
 	x := vecOnes(a.Rows)
 	y := make([]float32, a.Cols)
-	for _, sched := range cfg.Schedules {
-		for _, th := range cfg.Threads {
-			team := spray.NewTeam(th)
-			r := spray.New(cfg.Strategy, y, th)
-			var ins *spray.Instrumentation
-			if cfg.Telemetry {
-				ins = spray.Instrument(team, r)
-			}
-			p := imbalancePoint(cfg, ins, th, "tmv/"+sched.String(), func(iters int) {
-				for it := 0; it < iters; it++ {
-					sparse.RunTMulVecSched(team, r, a, x, sched)
-				}
-			})
-			p.Bytes = r.PeakBytes()
-			res.AddPoint(sched.String(), p)
-			if ins != nil {
-				ins.Detach()
-			}
-			team.Close()
-		}
-	}
+	scheduleSweep(cfg, res, y, func(team *spray.Team, r spray.Reducer[float32], sched spray.Schedule) {
+		sparse.RunTMulVecSched(team, r, a, x, sched)
+	})
 	return res
 }
 
@@ -235,7 +184,7 @@ func ImbalanceLulesh(cfg ImbalanceConfig) (*bench.Result, error) {
 		XLabel: "threads",
 		Notes: []string{
 			"time is the full application run (lulesh.Run)",
-			"strategy fixed at " + cfg.Strategy.String() + "; series vary the element-loop schedule only",
+			"strategy fixed at " + cfg.Strategies[0].String() + "; series vary the element-loop schedule only",
 		},
 	}
 	params := lulesh.Defaults()
@@ -243,18 +192,10 @@ func ImbalanceLulesh(cfg ImbalanceConfig) (*bench.Result, error) {
 	params.StopTime = 1e9
 	for _, sched := range cfg.Schedules {
 		for _, th := range cfg.Threads {
-			fs := lulesh.SpraySched(cfg.Strategy, sched)
-			team := par.NewTeam(th)
-			var runErr error
-			summary := cfg.Runner.Measure(func() {
-				d := lulesh.New(cfg.Edge, params)
-				if _, err := d.Run(team, fs); err != nil && runErr == nil {
-					runErr = err
-				}
-			})
-			team.Close()
-			if runErr != nil {
-				return nil, fmt.Errorf("schedule %s threads %d: %w", sched, th, runErr)
+			fs := lulesh.SpraySched(cfg.Strategies[0], sched)
+			summary, err := timeLulesh(cfg.Runner, th, cfg.Edge, params, fs)
+			if err != nil {
+				return nil, fmt.Errorf("schedule %s threads %d: %w", sched, th, err)
 			}
 			res.AddPoint(sched.String(), bench.Point{X: float64(th), Time: summary, Bytes: fs.PeakBytes()})
 		}
@@ -271,35 +212,16 @@ func ImbalanceConv(cfg ImbalanceConfig) *bench.Result {
 	res := &bench.Result{
 		Title:    fmt.Sprintf("Schedule comparison: uniform conv back-propagation (N=%d)", cfg.N),
 		XLabel:   "threads",
-		Baseline: ConvSequentialBaseline(ConvConfig{N: cfg.N, Runner: cfg.Runner}),
+		Baseline: ConvSequentialBaseline(cfg.ConvConfig),
 		Notes: []string{
 			"uniform per-iteration cost: the balanced control, schedules differ only in hand-out overhead",
-			"strategy fixed at " + cfg.Strategy.String() + "; series vary the loop schedule only",
+			"strategy fixed at " + cfg.Strategies[0].String() + "; series vary the loop schedule only",
 		},
 	}
 	seed := convData(cfg.N)
 	out := make([]float32, cfg.N)
-	cw := conv.Weights3[float32]{WL: 0.25, WC: 0.5, WR: 0.25}
-	for _, sched := range cfg.Schedules {
-		for _, th := range cfg.Threads {
-			team := spray.NewTeam(th)
-			r := spray.New(cfg.Strategy, out, th)
-			var ins *spray.Instrumentation
-			if cfg.Telemetry {
-				ins = spray.Instrument(team, r)
-			}
-			p := imbalancePoint(cfg, ins, th, "conv/"+sched.String(), func(iters int) {
-				for it := 0; it < iters; it++ {
-					cw.RunBackpropSched(team, r, seed, sched)
-				}
-			})
-			p.Bytes = r.PeakBytes()
-			res.AddPoint(sched.String(), p)
-			if ins != nil {
-				ins.Detach()
-			}
-			team.Close()
-		}
-	}
+	scheduleSweep(cfg, res, out, func(team *spray.Team, r spray.Reducer[float32], sched spray.Schedule) {
+		convWeights.RunBackpropSched(team, r, seed, sched)
+	})
 	return res
 }

@@ -10,8 +10,9 @@ import (
 )
 
 func quickImbalanceConfig() ImbalanceConfig {
-	cfg := DefaultImbalanceConfig(20_000, 2)
-	cfg.Runner = quickRunner()
+	base := DefaultConvConfig(20_000, 2)
+	base.Runner = quickRunner()
+	cfg := DefaultImbalanceConfig(base)
 	cfg.Edge = 6
 	cfg.Cycles = 2
 	return cfg
@@ -41,7 +42,7 @@ func checkScheduleSeries(t *testing.T, name string, cfg ImbalanceConfig, res *be
 
 func TestImbalanceSkewSeries(t *testing.T) {
 	cfg := quickImbalanceConfig()
-	cfg.Telemetry = true
+	cfg.Instrument = true
 	var sawSteal bool
 	cfg.OnReport = func(label string, rep spray.RegionReport) {
 		if rep.Counters.Get(0) >= 0 { // any report proves the plumbing

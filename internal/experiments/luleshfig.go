@@ -7,6 +7,7 @@ import (
 	"spray/internal/bench"
 	"spray/internal/lulesh"
 	"spray/internal/par"
+	"spray/internal/stats"
 )
 
 // LuleshConfig parameterizes the shock-hydrodynamics experiment (§VI-C /
@@ -18,7 +19,7 @@ type LuleshConfig struct {
 	Cycles  int
 	Threads []int
 	Schemes []string // force-scheme names: "original" or spray strategy names
-	Repeats int
+	Runner  bench.Runner
 }
 
 // DefaultLuleshConfig returns the Figure 16 sweep.
@@ -31,7 +32,7 @@ func DefaultLuleshConfig(edge, cycles, maxThreads int) LuleshConfig {
 			"original", "omp-builtin", "dense", "atomic",
 			"block-lock-1024", "block-cas-1024", "keeper",
 		},
-		Repeats: 3,
+		Runner: bench.DefaultRunner(),
 	}
 }
 
@@ -63,27 +64,36 @@ func Lulesh(cfg LuleshConfig) (*bench.Result, error) {
 	params.MaxCycles = cfg.Cycles
 	params.StopTime = 1e9 // cycle-bound, like the paper's fixed iteration count
 
-	runner := bench.Runner{Repeats: cfg.Repeats}
 	for _, name := range cfg.Schemes {
 		for _, th := range cfg.Threads {
 			fs, err := luleshScheme(name)
 			if err != nil {
 				return nil, err
 			}
-			team := par.NewTeam(th)
-			var runErr error
-			summary := runner.Measure(func() {
-				d := lulesh.New(cfg.Edge, params)
-				if _, err := d.Run(team, fs); err != nil && runErr == nil {
-					runErr = err
-				}
-			})
-			team.Close()
-			if runErr != nil {
-				return nil, fmt.Errorf("scheme %s threads %d: %w", name, th, runErr)
+			summary, err := timeLulesh(cfg.Runner, th, cfg.Edge, params, fs)
+			if err != nil {
+				return nil, fmt.Errorf("scheme %s threads %d: %w", name, th, err)
 			}
 			res.AddPoint(fs.Name(), bench.Point{X: float64(th), Time: summary, Bytes: fs.PeakBytes()})
 		}
 	}
 	return res, nil
+}
+
+// timeLulesh times whole mini-LULESH runs of fs on a team of th members
+// under runner, like every other point: each run builds a fresh edge³
+// domain and steps it to params' cycle limit.
+func timeLulesh(runner bench.Runner, th, edge int, params lulesh.Params, fs lulesh.ForceScheme) (stats.Summary, error) {
+	team := par.NewTeam(th)
+	defer team.Close()
+	var runErr error
+	summary := runner.AutoBench(func(iters int) {
+		for i := 0; i < iters; i++ {
+			d := lulesh.New(edge, params)
+			if _, err := d.Run(team, fs); err != nil && runErr == nil {
+				runErr = err
+			}
+		}
+	})
+	return summary, runErr
 }

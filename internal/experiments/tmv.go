@@ -11,37 +11,20 @@ import (
 )
 
 // TMVConfig parameterizes the CSR transpose-matrix-vector experiment
-// (§VI-B / Figures 14 and 15).
+// (§VI-B / Figures 14 and 15). The matrix sets the problem size, so
+// ConvConfig.N is unused; ConvConfig.Schedule selects the loop schedule
+// of the row sweep (the MKL baselines ignore it — they own their loops).
 type TMVConfig struct {
-	Name       string
-	Matrix     *sparse.CSR[float32]
-	Threads    []int
-	Strategies []spray.Strategy
-	Runner     bench.Runner
-
-	// Schedule selects the loop schedule the row sweep runs under (zero
-	// value: static). The MKL baselines ignore it — they own their loops.
-	Schedule spray.Schedule
-}
-
-// DefaultTMVStrategies is the strategy set the figures plot.
-func DefaultTMVStrategies() []spray.Strategy {
-	return []spray.Strategy{
-		spray.Builtin(),
-		spray.Dense(),
-		spray.Atomic(),
-		spray.BlockLock(1024),
-		spray.BlockCAS(1024),
-		spray.Keeper(),
-	}
+	ConvConfig
+	Name   string
+	Matrix *sparse.CSR[float32]
 }
 
 // TMVSequentialBaseline measures the sequential Figure 10 scatter loop.
-func TMVSequentialBaseline(cfg TMVConfig) float64 {
-	a := cfg.Matrix
+func TMVSequentialBaseline(a *sparse.CSR[float32], runner bench.Runner) float64 {
 	x := vecOnes(a.Rows)
 	y := make([]float32, a.Cols)
-	return cfg.Runner.AutoBench(func(iters int) {
+	return runner.AutoBench(func(iters int) {
 		for i := 0; i < iters; i++ {
 			a.TMulVecSeq(x, y)
 		}
@@ -65,7 +48,7 @@ func TMV(cfg TMVConfig) *bench.Result {
 	res := &bench.Result{
 		Title:    fmt.Sprintf("Figure 14/15: transpose-matrix-vector on %s (%dx%d, %d nnz)", cfg.Name, a.Rows, a.Cols, a.NNZ()),
 		XLabel:   "threads",
-		Baseline: TMVSequentialBaseline(cfg),
+		Baseline: TMVSequentialBaseline(a, cfg.Runner),
 		Notes: []string{
 			"MKL closed-source baselines substituted with vendor-style Go implementations (DESIGN.md)",
 			"MKL-IE-hint excludes inspection time from the measurement, as in the paper",
@@ -75,17 +58,11 @@ func TMV(cfg TMVConfig) *bench.Result {
 	y := make([]float32, a.Cols)
 
 	for _, st := range cfg.Strategies {
-		for _, th := range cfg.Threads {
-			team := spray.NewTeam(th)
-			r := spray.New(st, y, th)
-			summary := cfg.Runner.AutoBench(func(iters int) {
-				for i := 0; i < iters; i++ {
-					sparse.RunTMulVecSched(team, r, a, x, cfg.Schedule)
-				}
-			})
-			res.AddPoint(st.String(), bench.Point{X: float64(th), Time: summary, Bytes: r.PeakBytes()})
-			team.Close()
-		}
+		sweep(cfg.ConvConfig, res, st, y, leg[float32]{st.String(), func(team *spray.Team, r spray.Reducer[float32], iters int) {
+			for i := 0; i < iters; i++ {
+				sparse.RunTMulVecSched(team, r, a, x, cfg.Schedule)
+			}
+		}})
 	}
 
 	for _, th := range cfg.Threads {

@@ -260,8 +260,8 @@ func TestInstrumentDetachCyclesClearTeamAttachments(t *testing.T) {
 }
 
 // BenchmarkTelemetryOverheadConv reports the conv backprop workload with
-// telemetry off and on — `make overhead-smoke` tracks the "off" flavor
-// against BenchmarkBulkConv numbers.
+// telemetry off and on; the gap between the two flavors is the cost of
+// instrumenting a region. `make overhead-smoke` runs both once.
 func BenchmarkTelemetryOverheadConv(b *testing.B) {
 	const n, threads = 1 << 20, 2
 	seed := convSeed(n)
