@@ -51,10 +51,11 @@ race:
 # race-telemetry focuses the race detector on the observability layer
 # and the concurrent scatter machinery: counter shards and their live
 # snapshots, region timing, panic wrapping, the keeper mailbox
-# publish/drain protocol, and the work-stealing loop runtime (chunk
+# publish/drain protocol, the block accessors' windows (which must not
+# outlive their region), and the work-stealing loop runtime (chunk
 # deques, the stealer protocol, the adaptive grain controller).
 race-telemetry:
-	$(GO) test -race -short -run 'Telemetry|Instrument|Timing|WorkerPanic|Concurrent|Mailbox|Drain|Steal|Deque|Grain' ./internal/telemetry ./internal/par ./internal/core ./internal/memtrack ./internal/experiments .
+	$(GO) test -race -short -run 'Telemetry|Instrument|Timing|WorkerPanic|Concurrent|Mailbox|Drain|Window|Steal|Deque|Grain' ./internal/telemetry ./internal/par ./internal/core ./internal/memtrack ./internal/experiments .
 
 # deps-check keeps the module free of a live-serving surface: no package
 # may import net/http, expvar or os/signal. Telemetry is read through
@@ -68,13 +69,15 @@ deps-check:
 	echo "deps-check: no net/http, expvar or os/signal in the module's dependencies"
 
 # bench-smoke proves the Accessor dispatch rungs (dense, atomic,
-# block-cas Add), the banded transpose-SpMV figure (the block Scatter
-# path), both each-vs-bulk figures (the AddN and Scatter bulk paths) and
-# the region dispatch rungs of internal/par (empty-region fork/join,
-# worker start latency) run end to end without timing anything
-# meaningful.
+# block-cas Add), the block Scatter microbenchmark (block-cas against
+# dense and the plain loop on banded and random batches), the banded
+# transpose-SpMV figure (the block Scatter path), both each-vs-bulk
+# figures (the AddN and Scatter bulk paths) and the region dispatch rungs
+# of internal/par (empty-region fork/join, worker start latency) run end
+# to end without timing anything meaningful.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAblationAddDispatch' -benchtime 100x .
+	$(GO) test -run '^$$' -bench 'BenchmarkBlockScatter' -benchtime 100x ./internal/core
 	$(GO) run ./cmd/sprayall -figure 14,bulk-conv,bulk-graph -scale 0.001 -threads 2 -repeats 1 -min-time 1ms
 	$(GO) test -run '^$$' -bench 'BenchmarkRegionJoin|BenchmarkRegionDispatch' -benchtime 100x ./internal/par
 

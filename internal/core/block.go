@@ -120,16 +120,23 @@ type privBlock[T num.Float] struct {
 type blockPrivate[T num.Float] struct {
 	parent *Block[T]
 	tid    int32
-	shift  uint  // the parent's, copied so updates never load it through parent
-	view   [][]T // per block: nil until touched, then direct or private storage
-	// Add's one-block window: lastView is the resolved storage of the
-	// block starting at element lastBase. Private resets it, because the
-	// view may be a block of out whose ownership Finalize released.
-	lastBase int
-	lastView []T
-	fallbk   []privBlock[T]
-	pool     [][]T // full-size fallback buffers recycled from earlier regions
-	tel      *telemetry.Shard
+	// winOwned says the window (below) is a run of blocks this member
+	// claimed in out, which resolve may grow; otherwise it is the one
+	// block Add last missed on. It sits in tid's padding, so the window
+	// leaves the accessor's size unchanged.
+	winOwned bool
+	shift    uint  // the parent's, copied so updates never load it through parent
+	view     [][]T // per block: nil until touched, then direct or private storage
+	// The window is resolved storage for elements [winBase,
+	// winBase+len(win)): either adjacent blocks claimed in out, which
+	// are one contiguous slice of it, or one block. Add and Scatter try
+	// it before the per-block view. Private resets it, because the
+	// window may cover blocks of out whose ownership Finalize released.
+	winBase int
+	win     []T
+	fallbk  []privBlock[T]
+	pool    [][]T // full-size fallback buffers recycled from earlier regions
+	tel     *telemetry.Shard
 }
 
 // Add accumulates into the block view. An index inside the window costs
@@ -137,24 +144,28 @@ type blockPrivate[T num.Float] struct {
 // index goes through addMiss.
 func (p *blockPrivate[T]) Add(i int, v T) {
 	p.tel.Inc(telemetry.Updates)
-	if k := i - p.lastBase; uint(k) < uint(len(p.lastView)) {
-		p.lastView[k] += v
+	if k := i - p.winBase; uint(k) < uint(len(p.win)) {
+		p.win[k] += v
 		return
 	}
 	p.addMiss(i, v)
 }
 
-// addMiss resolves i's block (first touch claims or privatizes it) and
-// moves Add's window onto it.
+// addMiss resolves i's block (first touch claims or privatizes it). A
+// claim lands the block in the window; otherwise the window moves onto
+// the block.
 func (p *blockPrivate[T]) addMiss(i int, v T) {
 	b := i >> p.shift
 	view := p.view[b]
 	if view == nil {
 		view = p.resolve(b)
 	}
-	p.lastBase = b << p.shift
-	p.lastView = view
-	view[i-p.lastBase] += v
+	if k := i - p.winBase; uint(k) < uint(len(p.win)) {
+		p.win[k] += v
+		return
+	}
+	p.winBase, p.win, p.winOwned = b<<p.shift, view, false
+	view[i-p.winBase] += v
 }
 
 // AddN accumulates a contiguous run, resolving each spanned block once
@@ -183,24 +194,30 @@ func (p *blockPrivate[T]) AddN(base int, vals []T) {
 	}
 }
 
-// Scatter accumulates a gathered batch as a walk over runs: it resolves
-// the block of the run's first index once, then applies every following
-// index that stays inside that block's view with one unsigned range
-// compare (which is also the bounds check). An index outside the view
-// starts the next run, which may re-enter an earlier block. CSR rows and
-// element connectivity are block-local in practice, so runs are long.
+// Scatter accumulates a gathered batch as a walk over runs. A run that
+// starts inside the window continues through it across block
+// boundaries; any other run resolves the block of its first index once
+// and continues while the indices stay inside that block's view. Either
+// way each following index costs one unsigned range compare, which is
+// also the bounds check. An index outside the run's storage starts the
+// next run, which may re-enter an earlier block. CSR rows and element
+// connectivity are local in practice, so runs are long, and a member's
+// claims are adjacent, so its window spans most of its rows' columns.
 func (p *blockPrivate[T]) Scatter(idx []int32, vals []T) {
 	p.tel.IncRun(telemetry.ScatterRuns, len(idx))
 	vals = vals[:len(idx)]
 	shift := p.shift
 	for j := 0; j < len(idx); {
 		i := int(idx[j])
-		b := i >> shift
-		view := p.view[b]
-		if view == nil {
-			view = p.resolve(b)
+		base, view := p.winBase, p.win
+		if uint(i-base) >= uint(len(view)) {
+			b := i >> shift
+			view = p.view[b]
+			if view == nil {
+				view = p.resolve(b)
+			}
+			base = b << shift
 		}
-		base := b << shift
 		view[i-base] += vals[j] // checked: panics on an index past len(out)
 		for j++; j < len(idx); j++ {
 			k := int(idx[j]) - base
@@ -254,9 +271,27 @@ func (p *blockPrivate[T]) resolve(b int) []T {
 			p.parent.mem.Alloc(memtrack.SliceBytes(need, unsafe.Sizeof(zero)))
 		}
 		p.fallbk = append(p.fallbk, privBlock[T]{block: b, buf: view})
+	} else {
+		p.joinWindow(base, end)
 	}
 	p.view[b] = view
 	return view
+}
+
+// joinWindow puts the just-claimed elements [base, end) of out in the
+// window: a window of claims that they adjoin grows over them, and any
+// other window is replaced by them.
+func (p *blockPrivate[T]) joinWindow(base, end int) {
+	out := p.parent.out
+	winEnd := p.winBase + len(p.win)
+	switch {
+	case p.winOwned && winEnd == base:
+		p.win = out[p.winBase:end]
+	case p.winOwned && end == p.winBase:
+		p.winBase, p.win = base, out[base:winEnd]
+	default:
+		p.winBase, p.win, p.winOwned = base, out[base:end], true
+	}
 }
 
 func (p *blockPrivate[T]) Done() {}
@@ -274,7 +309,7 @@ func (bl *Block[T]) Private(tid int) Private[T] {
 	p.parent = bl
 	p.tid = int32(tid)
 	p.shift = bl.shift
-	p.lastBase, p.lastView = 0, nil
+	p.winBase, p.win, p.winOwned = 0, nil, false
 	p.tel = bl.tel.Shard(tid)
 	p.fallbk = p.fallbk[:0]
 	return p

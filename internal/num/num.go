@@ -58,16 +58,6 @@ func AtomicAdd[T Float](s []T, i int, v T) {
 	}
 }
 
-// AtomicLoad returns s[i] with an atomic load of its bit pattern.
-func AtomicLoad[T Float](s []T, i int) T {
-	if unsafe.Sizeof(s[i]) == 8 {
-		u := (*uint64)(unsafe.Pointer(&s[i]))
-		return T(math.Float64frombits(atomic.LoadUint64(u)))
-	}
-	u := (*uint32)(unsafe.Pointer(&s[i]))
-	return T(math.Float32frombits(atomic.LoadUint32(u)))
-}
-
 // Kahan is a compensated accumulator. The test suite uses it to build
 // high-accuracy reference sums against which reducer results are compared
 // with a relative tolerance.

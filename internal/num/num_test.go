@@ -58,12 +58,6 @@ func TestAtomicAddGenericDispatch(t *testing.T) {
 	if f32[2] != 2.5 {
 		t.Errorf("float32 slice add: got %v, want 2.5", f32[2])
 	}
-	if got := AtomicLoad(f64, 1); got != 3 {
-		t.Errorf("AtomicLoad float64: got %v", got)
-	}
-	if got := AtomicLoad(f32, 2); got != 2.5 {
-		t.Errorf("AtomicLoad float32: got %v", got)
-	}
 }
 
 func TestAtomicAddNegativeAndFractional(t *testing.T) {

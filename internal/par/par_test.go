@@ -226,18 +226,6 @@ func TestParallelForCoverageProperty(t *testing.T) {
 	}
 }
 
-func TestParallelForEach(t *testing.T) {
-	team := NewTeam(4)
-	defer team.Close()
-	var sum atomic.Int64
-	ParallelForEach(team, 1, 101, Dynamic(5), func(tid, i int) {
-		sum.Add(int64(i))
-	})
-	if sum.Load() != 5050 {
-		t.Errorf("sum=%d, want 5050", sum.Load())
-	}
-}
-
 func TestStaticRangePartition(t *testing.T) {
 	f := func(loRaw int16, spanRaw uint16, nRaw uint8) bool {
 		lo := int(loRaw)
@@ -344,14 +332,6 @@ func TestScheduleString(t *testing.T) {
 		if got := s.String(); got != want {
 			t.Errorf("String()=%q, want %q", got, want)
 		}
-	}
-}
-
-func TestDefaultTeam(t *testing.T) {
-	team := Default()
-	defer team.Close()
-	if team.Size() < 1 {
-		t.Errorf("default team size %d", team.Size())
 	}
 }
 

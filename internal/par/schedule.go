@@ -168,15 +168,6 @@ func ParallelFor(t *Team, lo, hi int, s Schedule, body func(tid, from, to int)) 
 	t.forBody = nil
 }
 
-// ParallelForEach is the per-index convenience form of ParallelFor.
-func ParallelForEach(t *Team, lo, hi int, s Schedule, body func(tid, i int)) {
-	ParallelFor(t, lo, hi, s, func(tid, from, to int) {
-		for i := from; i < to; i++ {
-			body(tid, i)
-		}
-	})
-}
-
 // StaticRange returns the contiguous sub-range [from, to) of [lo, hi)
 // assigned to member tid of n under the default static schedule. Remainder
 // iterations are distributed one-per-member to the lowest tids, matching

@@ -149,9 +149,6 @@ func (t *Team) worker(tid int) {
 	}
 }
 
-// Default returns a team sized to the machine: GOMAXPROCS members.
-func Default() *Team { return NewTeam(runtime.GOMAXPROCS(0)) }
-
 // Size returns the number of team members.
 func (t *Team) Size() int { return t.size }
 
