@@ -70,7 +70,9 @@ deps-check:
 
 # bench-smoke proves the Accessor dispatch rungs (dense, atomic,
 # block-cas Add), the block Scatter microbenchmark (block-cas against
-# dense and the plain loop on banded and random batches), the banded
+# dense and the plain loop on banded and random batches), the conv
+# back-propagation competitors (the Figure 9 loop, the tile-combined
+# sequential loop and keeper at 1 and 2 members), the banded
 # transpose-SpMV figure (the block Scatter path), both each-vs-bulk
 # figures (the AddN and Scatter bulk paths) and the region dispatch rungs
 # of internal/par (empty-region fork/join, worker start latency) run end
@@ -78,6 +80,7 @@ deps-check:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkAblationAddDispatch' -benchtime 100x .
 	$(GO) test -run '^$$' -bench 'BenchmarkBlockScatter' -benchtime 100x ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkConvBackprop' -benchtime 100x ./internal/conv
 	$(GO) run ./cmd/sprayall -figure 14,bulk-conv,bulk-graph -scale 0.001 -threads 2 -repeats 1 -min-time 1ms
 	$(GO) test -run '^$$' -bench 'BenchmarkRegionJoin|BenchmarkRegionDispatch' -benchtime 100x ./internal/par
 

@@ -70,24 +70,37 @@ func (s Stencil2D[T]) BackpropSeq(seed, out []T, rows, cols int) {
 func (s Stencil2D[T]) Backprop(team *spray.Team, st spray.Strategy, seed, out []T, rows, cols int) spray.Reducer2D[T] {
 	checkGrid(seed, out, rows, cols)
 	r := s.Radius()
-	// Each tap row of the neighborhood is contiguous within one grid row,
-	// so it is scaled into a scratch buffer and pushed as one 2-D AddN.
-	return spray.ReduceFor2D(team, st, out, rows, cols, r, rows-r, spray.Static(),
-		func(acc spray.Accessor2D[T], fromRow, toRow int) {
-			vals := make([]T, 2*r+1)
-			for i := fromRow; i < toRow; i++ {
-				for j := r; j < cols-r; j++ {
-					sd := seed[i*cols+j]
-					for di := 0; di <= 2*r; di++ {
-						taps := s.Taps[di]
-						for dj := range vals {
-							vals[dj] = taps[dj] * sd
-						}
-						acc.AddN(i+di-r, j-r, vals)
-					}
+	return spray.ReduceFor2D(team, st, out, rows, cols, r, rows-r, spray.Static(), s.backpropRows(seed, cols))
+}
+
+// backpropRows is Backprop's loop body. A chunk of seed rows touches the
+// output rows from r above it to r below it; each output row's
+// contributions are combined into one full-width run and pushed as one
+// 2-D AddN. Seed (i, j) adds Taps[di][dj]·seed[i][j] to
+// out[i+di-r][j+dj-r], so a row's run adds the seed rows in ascending
+// order and, within each, the tap columns from the last to the first:
+// each output's terms arrive in BackpropSeq's order.
+func (s Stencil2D[T]) backpropRows(seed []T, cols int) func(acc spray.Accessor2D[T], fromRow, toRow int) {
+	r := len(s.Taps) / 2
+	return func(acc spray.Accessor2D[T], fromRow, toRow int) {
+		if cols <= 2*r {
+			return // no interior column, so no seed contributes
+		}
+		buf := getScratch[T](cols)
+		defer scratch.Put(buf)
+		v := *buf
+		for o := fromRow - r; o < toRow+r; o++ {
+			clear(v)
+			for i := max(fromRow, o-r); i <= min(toRow-1, o+r); i++ {
+				taps := s.Taps[o-i+r]
+				sd := seed[i*cols+r : (i+1)*cols-r]
+				for dj := 2 * r; dj >= 0; dj-- {
+					addScaled(v[dj:], taps[dj], sd)
 				}
 			}
-		})
+			acc.AddN(o, 0, v)
+		}
+	}
 }
 
 func checkGrid[T num.Float](a, b []T, rows, cols int) {

@@ -31,7 +31,7 @@ func BulkConv(cfg ConvConfig) *bench.Result {
 		XLabel:   "threads",
 		Baseline: ConvSequentialBaseline(cfg),
 		Notes: []string{
-			"<strategy>/each: one Add per tap; <strategy>/bulk: tiled AddN batches",
+			"<strategy>/each: one Add per tap; <strategy>/bulk: one AddN per 1024-seed tile, its taps combined into one value per output",
 		},
 	}
 	seed := convData(cfg.N)

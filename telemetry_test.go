@@ -47,14 +47,17 @@ func TestInstrumentReportsRegionMetrics(t *testing.T) {
 		t.Errorf("load imbalance %v < 1", li)
 	}
 	cm := rep.CounterMap()
-	// The backprop drives tiled AddN: three taps over n-2 interior points
-	// per region.
-	wantElems := uint64(regions * 3 * (n - 2))
+	// The backprop combines each tile of up to 1024 seeds into one AddN
+	// over the m+2 outputs the tile touches. Static splits the n-2
+	// interior seeds into two halves of 8191, so a region runs 2·8 tiles
+	// and pushes n-2 values plus 2 per tile.
+	const tiles = 2 * 8
+	wantElems := uint64(regions * (n - 2 + 2*tiles))
 	if cm["bulk-elems"] != wantElems {
 		t.Errorf("bulk-elems = %d, want %d", cm["bulk-elems"], wantElems)
 	}
-	if cm["addn-runs"] == 0 {
-		t.Error("no AddN runs counted")
+	if cm["addn-runs"] != regions*tiles {
+		t.Errorf("addn-runs = %d, want %d", cm["addn-runs"], regions*tiles)
 	}
 	if rep.PeakBytes != int64(threads*n*4) {
 		t.Errorf("peak bytes %d, want %d", rep.PeakBytes, threads*n*4)
