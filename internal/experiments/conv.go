@@ -90,6 +90,7 @@ func Fig11(cfg ConvConfig) *bench.Result {
 		Notes: []string{
 			"paper sweeps icc/gcc/clang; Go has a single toolchain",
 			fmt.Sprintf("N=%d float32 elements", cfg.N),
+			"each tile's three taps are summed before one AddN, so a strategy receives one update per output per tile, not the paper's three per seed",
 		},
 	}
 	seed := convData(cfg.N)

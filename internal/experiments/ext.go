@@ -23,6 +23,7 @@ func Extensions(cfg ConvConfig) *bench.Result {
 	res.Title = "Extensions: ordered/compensated vs. baselines (conv back-propagation)"
 	res.Notes = append(res.Notes,
 		"ordered buys bitwise determinism with memory proportional to the update count",
-		"compensated doubles dense's memory for compensated summation")
+		"compensated doubles dense's memory for compensated summation",
+		"the bulk conv path pre-sums each tile's taps: every strategy receives one update per output per tile, so ordered logs and compensated corrects those sums, not each tap")
 	return res
 }
